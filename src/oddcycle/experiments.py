@@ -488,7 +488,10 @@ def estimate_events(config: ExperimentConfig, threads: int = 1) -> ExperimentRep
             records = [_run_sample(config, n, i, game_cache) for i in indices]
         used = [r for r in records if not r["degenerate"]]
         excluded = [r for r in records if r["degenerate"]]
-        assert len(used) + len(excluded) == config.samples
+        if len(used) + len(excluded) != config.samples:
+            raise ExperimentError(
+                f"n={n}: {len(used)} used + {len(excluded)} excluded != {config.samples} samples"
+            )
         count = len(used)
         agg = {
             "n": n,
@@ -528,7 +531,8 @@ def estimate_events(config: ExperimentConfig, threads: int = 1) -> ExperimentRep
         # larger theta tightens the sandwich, so the sweep must be
         # nonincreasing along the sorted grid
         ordered = sorted(zip(config.theta_grid, sweep_phat))
-        assert all(a[1] >= b[1] - 1e-12 for a, b in zip(ordered, ordered[1:]))
+        if any(a[1] < b[1] - 1e-12 for a, b in zip(ordered, ordered[1:])):
+            raise ExperimentError(f"n={n}: threshold sweep not nonincreasing: {ordered}")
         agg["possibility_frequencies"] = {
             str(k): sum(1 for r in used if r["possibility"] == k) / count if count else 0.0
             for k in (1, 2, 3)

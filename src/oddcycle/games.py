@@ -386,7 +386,8 @@ def _exact_alice_exhaustive(game: GameSpec, block: int) -> ValueReport:
     digits = [(best_table_idx // int(r)) % k for r in radix]
     alice_table = {q: digits[i] for i, q in enumerate(game.alice_questions)}
     bob_table, won = _best_response_bob(game, alice_table)
-    assert won == best_won
+    if won != best_won:
+        raise GameError(f"best response wins {won} pairs, the exhaustive histogram {best_won}")
     exact = best_won * weight
     return ValueReport(
         value=float(exact),

@@ -199,101 +199,106 @@ def canonical_odd_cycle_strategy(n: int, theta: float = 0.0) -> QubitStrategy:
 
 # -- angle optimization --------------------------------------------------------
 
+_GRID = np.linspace(0.0, 2 * math.pi, 256, endpoint=False)
+# on the grid with its circular neighbours, Re(z1 e^{ia}) + Re(z2 e^{2ia}) is
+# _RING_BASIS @ (Re z1, Im z1, Re z2, Im z2)
+_RING = np.r_[_GRID[-1], _GRID, _GRID[0]]
+_RING_BASIS = np.stack([np.cos(_RING), -np.sin(_RING), np.cos(2 * _RING), -np.sin(2 * _RING)], axis=1)
+NEWTON_STEPS = 3
 
-def _term_structure(game: GameSpec, restrict_pairs=None):
-    """Weighted product terms for the angle objective.  Each term is a list
-    of legs (alice_idx, bob_idx, epsilon) with epsilon = +1 for target bit 0
-    and -1 for target bit 1; the objective is
-    sum_w prod_legs (1 + eps*cos(alpha + beta))/2 over the chosen pairs."""
-    if game.depth > 2:
-        raise QuantumError("angle optimization supports depth <= 2")
-    pairs = list(zip(game.pairs, game.targets))
-    if restrict_pairs is not None:
-        keep = set(restrict_pairs)
-        pairs = [p for p in pairs if (p[0][0], p[0][1]) in keep]
-        if not pairs:
-            raise QuantumError("no surviving question pairs to optimize over")
-    total_w = sum(float(w) for (qa, qb, w), _ in pairs)
-    terms = []
-    for (qa, qb, w), t in pairs:
-        legs = []
-        for i in range(game.depth):
-            eps = 1.0 if ((t >> i) & 1) == 0 else -1.0
-            legs.append((qa[i], qb[i], eps))
-        terms.append((float(w) / total_w, legs))
-    return terms
+
+def _maximize_profile(z1: complex, z2: complex) -> float:
+    """Angle a maximizing g(a) = Re(z1 e^{ia}) + Re(z2 e^{2ia}), which has
+    at most two local maxima: the best two circular peaks of the 256-point
+    grid (the second only if it can still win) are polished by Newton steps
+    on g'(a) = -Im(z1 e^{ia}) - 2 Im(z2 e^{2ia}), taken while g''(a) < 0."""
+    ring = _RING_BASIS @ np.array((z1.real, z1.imag, z2.real, z2.imag))
+    values = ring[1:-1]
+    peaks = ((values > ring[:-2]) & (values >= ring[2:])).nonzero()[0]
+    # |g''| <= |z1| + 4|z2|; a peak is no lower than the grid point (spacing _GRID[1]) nearest its max
+    grid_error = (abs(z1) + 4.0 * abs(z2)) * _GRID[1] ** 2 / 8
+    best = (-math.inf, 0.0)
+    for value, i in sorted(zip(values[peaks].tolist(), peaks.tolist()), reverse=True)[:2]:
+        if value + grid_error < best[0]:
+            break
+        a = float(_GRID[i])
+        for _ in range(NEWTON_STEPS):
+            u1, u2 = z1 * cmath.exp(1j * a), z2 * cmath.exp(2j * a)
+            curvature = -u1.real - 4.0 * u2.real
+            if not curvature < 0.0:
+                break
+            a += (u1.imag + 2.0 * u2.imag) / curvature
+        polished = (z1 * cmath.exp(1j * a) + z2 * cmath.exp(2j * a)).real
+        best = max(best, (value, float(_GRID[i])), (polished, a))
+    return best[1]
 
 
 class _AngleProblem:
-    """Coordinate-ascent workspace: terms indexed by the angle coordinates
-    they touch, so one sweep visits each term a bounded number of times."""
+    """The angle objective on index arrays: term t has normalised weight
+    W[t] and per coordinate j a leg with Alice key index legs[0][t, j], Bob
+    key index legs[1][t, j] and sign E[t, j] (+1 for target bit 0, else -1);
+    the objective is sum_t W[t] prod_j (1 + E[t, j] cos(alpha + beta))/2.
+    Angles enter as unit phasors.  touch[side][k] gathers once the terms
+    angle k of that side touches, split by how many legs sit on it."""
 
-    def __init__(self, terms):
-        self.terms = terms
-        self.by_alice: dict = {}
-        self.by_bob: dict = {}
-        for idx, (_, legs) in enumerate(terms):
-            for x, y, _ in legs:
-                self.by_alice.setdefault(x, set()).add(idx)
-                self.by_bob.setdefault(y, set()).add(idx)
-        self.grid = np.linspace(0.0, 2 * math.pi, 256, endpoint=False)
+    def __init__(self, game: GameSpec, restrict_pairs=None):
+        if game.depth > 2:
+            raise QuantumError("angle optimization supports depth <= 2")
+        pairs = list(zip(game.pairs, game.targets))
+        if restrict_pairs is not None:
+            keep = set(restrict_pairs)
+            pairs = [p for p in pairs if (p[0][0], p[0][1]) in keep]
+            if not pairs:
+                raise QuantumError("no surviving question pairs to optimize over")
+        questions = ([qa for (qa, _, _), _ in pairs], [qb for (_, qb, _), _ in pairs])
+        self.keys = tuple(sorted({x for q in qs for x in q}) for qs in questions)
+        self.legs = tuple(
+            np.array([[keys.index(x) for x in q] for q in qs], dtype=np.intp)
+            for keys, qs in zip(self.keys, questions)
+        )
+        self.E = np.array([[1.0 - 2.0 * ((t >> i) & 1) for i in range(game.depth)] for _, t in pairs])
+        total_w = sum(float(w) for (_, _, w), _ in pairs)
+        self.W = np.array([float(w) / total_w for (_, _, w), _ in pairs])
+        self.touch = [[self._gather(side, k) for k in range(len(ks))] for side, ks in enumerate(self.keys)]
 
-    def objective(self, alpha, beta) -> float:
-        total = 0.0
-        for w, legs in self.terms:
-            prob = w
-            for x, y, eps in legs:
-                prob *= 0.5 * (1.0 + eps * math.cos(alpha[x] + beta[y]))
-            total += prob
-        return total
+    def _gather(self, side: int, k: int) -> tuple:
+        """Per-angle constants for update().  At depth 1 `other` points back at
+        the term's only leg, and its sign factor depth - 1 = 0 makes it 1."""
+        W, E, legs = self.W, self.E, self.legs
+        depth = E.shape[1]
+        mine = legs[side] == k
+        one = np.flatnonzero(mine.sum(axis=1) == 1)
+        two = np.flatnonzero(mine.sum(axis=1) == 2)
+        col = mine[one].argmax(axis=1)
+        other = (1 - col) % depth
+        w2, e2, p2 = W[two], E[two], legs[1 - side][two]
+        return (
+            0.5**depth * W[one] * E[one, col],
+            legs[0][one, other],
+            legs[1][one, other],
+            (depth - 1) * E[one, other],
+            np.concatenate([legs[1 - side][one, col], p2[:, 0], p2[:, -1]]),
+            one.size,
+            np.concatenate([0.25 * w2 * e2[:, 0], 0.25 * w2 * e2[:, -1]]),
+            0.125 * w2 * e2.prod(axis=1),
+        )
 
-    def update(self, alpha, beta, side: str, k: int) -> float:
-        """Exact single-angle profile: as a function of one angle the
-        objective restricted to the touched terms is a degree-2 trig
-        polynomial a0 + Re(z1 e^{ia}) + Re(z2 e^{2ia}); maximize it on a
-        grid and refine by ternary search."""
-        touched = self.by_alice.get(k, ()) if side == "alice" else self.by_bob.get(k, ())
-        a0 = 0.0
-        z1 = 0.0 + 0.0j
-        z2 = 0.0 + 0.0j
-        for idx in touched:
-            w, legs = self.terms[idx]
-            if side == "alice":
-                mine = [(x, y, eps) for x, y, eps in legs if x == k]
-                others = [(x, y, eps) for x, y, eps in legs if x != k]
-            else:
-                mine = [(x, y, eps) for x, y, eps in legs if y == k]
-                others = [(x, y, eps) for x, y, eps in legs if y != k]
-            scale = w
-            for x, y, eps in others:
-                scale *= 0.5 * (1.0 + eps * math.cos(alpha[x] + beta[y]))
-            if len(mine) == 1:
-                x, y, eps = mine[0]
-                other_angle = beta[y] if side == "alice" else alpha[x]
-                a0 += scale * 0.5
-                z1 += scale * 0.5 * eps * cmath.exp(1j * other_angle)
-            else:
-                (x1, y1, e1), (x2, y2, e2) = mine
-                o1 = beta[y1] if side == "alice" else alpha[x1]
-                o2 = beta[y2] if side == "alice" else alpha[x2]
-                a0 += scale * 0.25 * (1.0 + 0.5 * e1 * e2 * math.cos(o1 - o2))
-                z1 += scale * 0.25 * (e1 * cmath.exp(1j * o1) + e2 * cmath.exp(1j * o2))
-                z2 += scale * 0.125 * e1 * e2 * cmath.exp(1j * (o1 + o2))
-        values = a0 + (z1 * np.exp(1j * self.grid)).real + (z2 * np.exp(2j * self.grid)).real
-        best = int(values.argmax())
-        width = self.grid[1] - self.grid[0]
-        lo = self.grid[best] - width
-        hi = self.grid[best] + width
-        for _ in range(28):
-            m1 = lo + (hi - lo) / 3
-            m2 = hi - (hi - lo) / 3
-            f1 = (z1 * cmath.exp(1j * m1)).real + (z2 * cmath.exp(2j * m1)).real
-            f2 = (z1 * cmath.exp(1j * m2)).real + (z2 * cmath.exp(2j * m2)).real
-            if f1 < f2:
-                lo = m1
-            else:
-                hi = m2
-        return (lo + hi) / 2
+    def objective(self, phase) -> float:
+        legs = 0.5 * (1.0 + self.E * (phase[0][self.legs[0]] * phase[1][self.legs[1]]).real)
+        return float(self.W @ legs.prod(axis=1))
+
+    def update(self, phase, side: int, k: int) -> float:
+        """Best angle k of one side, all others fixed.  In that angle a the
+        objective is a0 + Re(z1 e^{ia}) + Re(z2 e^{2ia}): a one-leg term with
+        partner phasor o adds W e o/2, times its other leg's factor, to z1; a
+        two-leg term with partner phasors o1, o2 adds W (e1 o1 + e2 o2)/4 to
+        z1 and W e1 e2 o1 o2/8 to z2.  The constant a0 is not needed."""
+        w1, rest_a, rest_b, rest_e, partners, n1, w12, w2 = self.touch[side][k]
+        o = phase[1 - side][partners]
+        scale = w1 * (1.0 + rest_e * (phase[0][rest_a] * phase[1][rest_b]).real)
+        z1 = o[:n1].dot(scale) + o[n1:].dot(w12)
+        z2 = (o[n1 : n1 + w2.size] * o[n1 + w2.size :]).dot(w2)
+        return _maximize_profile(complex(z1), complex(z2))
 
 
 def optimize_angles(
@@ -308,37 +313,32 @@ def optimize_angles(
     """Multi-start coordinate ascent over the 2n measurement angles (theta
     fixed to 0, outcome maps unflipped; both are absorbable into the
     tables).  A heuristic lower bound on the restricted-game supremum."""
-    terms = _term_structure(game, restrict_pairs)
-    problem = _AngleProblem(terms)
-    alice_keys = sorted({x for _, legs in terms for x, _, _ in legs})
-    bob_keys = sorted({y for _, legs in terms for _, y, _ in legs})
+    problem = _AngleProblem(game, restrict_pairs)
+    keys = problem.keys
     rng = np.random.default_rng(seed)
-    best_value = -1.0
-    best_tables = None
-    start_list = list(inits or [])
-    while len(start_list) < max(starts, len(start_list)):
-        alpha = {x: float(rng.uniform(0, 2 * math.pi)) for x in alice_keys}
-        beta = {y: float(rng.uniform(0, 2 * math.pi)) for y in bob_keys}
-        start_list.append((alpha, beta))
-    for alpha0, beta0 in start_list:
-        alpha = {x: alpha0.get(x, 0.0) for x in alice_keys}
-        beta = {y: beta0.get(y, 0.0) for y in bob_keys}
-        value = problem.objective(alpha, beta)
+    start_list = [
+        tuple(np.array([table.get(q, 0.0) for q in ks], dtype=float) for table, ks in zip(init, keys))
+        for init in inits or []
+    ]
+    while len(start_list) < starts:
+        start_list.append(tuple(rng.uniform(0, 2 * math.pi, len(ks)) for ks in keys))
+    best_value, best_angles = -1.0, None
+    for start in start_list:
+        angles = [a.copy() for a in start]
+        phase = [np.exp(1j * a) for a in angles]
+        value = problem.objective(phase)
         for _ in range(sweeps):
-            for x in alice_keys:
-                alpha[x] = float(problem.update(alpha, beta, "alice", x))
-            for y in bob_keys:
-                beta[y] = float(problem.update(alpha, beta, "bob", y))
-            new_value = problem.objective(alpha, beta)
-            if new_value - value < tol:
-                value = new_value
+            for side in (0, 1):
+                for k in range(len(keys[side])):
+                    angles[side][k] = a = problem.update(phase, side, k)
+                    phase[side][k] = cmath.exp(1j * a)
+            value, previous = problem.objective(phase), value
+            if value - previous < tol:
                 break
-            value = new_value
         if value > best_value:
-            best_value = value
-            best_tables = (dict(alpha), dict(beta))
-    alpha, beta = best_tables
-    strategy = QubitStrategy(bell_phase_state(0.0), alpha, beta)
+            best_value, best_angles = value, angles
+    tables = (dict(zip(ks, a.tolist())) for ks, a in zip(keys, best_angles))
+    strategy = QubitStrategy(bell_phase_state(0.0), *tables)
     return {"value": float(best_value), "strategy": strategy, "starts": len(start_list)}
 
 

@@ -79,10 +79,6 @@ def dumps(obj, indent: int = 0, _level: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def digest(obj) -> str:
     """Stable identifier for a parameter set."""
     return hashlib.sha256(dumps(obj).encode()).hexdigest()[:16]

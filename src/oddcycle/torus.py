@@ -33,10 +33,6 @@ class BudgetExceeded(RuntimeError):
     """Raised when an exact computation would exceed its configured budget."""
 
 
-def wrap(value: int, n: int) -> int:
-    return value % n
-
-
 def wrapped_diff(a: int, b: int, n: int) -> int:
     """Symmetric-range representative of a - b mod n, in (-n/2, n/2]."""
     half = (n - 1) // 2
@@ -86,9 +82,6 @@ class TorusGraph:
 
     def edge_count(self) -> int:
         return self.d * self.n ** self.d - len(self.removed)
-
-    def has_edge(self, edge: Edge) -> bool:
-        return edge not in self.removed
 
     def step(self, v: Vertex, axis: int, sign: int) -> Vertex:
         out = list(v)
@@ -436,7 +429,8 @@ def _min_blocker_heuristic(g0: TorusGraph, mode: str, seed: int) -> dict:
         trial = current - {edge}
         if verify_blocker(TorusGraph(g0.n, g0.d, frozenset(trial)), mode)["blocked"]:
             current = trial
-    assert verify_blocker(TorusGraph(g0.n, g0.d, frozenset(current)), mode)["blocked"]
+    if not verify_blocker(TorusGraph(g0.n, g0.d, frozenset(current)), mode)["blocked"]:
+        raise TorusError(f"heuristic {mode} blocker of size {len(current)} does not block")
     return {
         "size": len(current),
         "edges": current,

@@ -1,7 +1,10 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import oddcycle
 from oddcycle.cli import main
 from oddcycle.serialize import dumps
 
@@ -28,10 +31,15 @@ def test_value_rejects_even_n(tmp_path, capsys):
 
 
 def test_unknown_flag_exits_2(tmp_path):
+    # the child imports the same package as this process, also when only
+    # pytest's own `pythonpath` setting put it on the path
+    src = str(Path(oddcycle.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "oddcycle.cli", "value", "--game", "odd-cycle", "--bogus"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 2
 

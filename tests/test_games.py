@@ -138,6 +138,20 @@ def test_best_response_agrees_with_full():
         assert classical_value_exact(game).exact == classical_value_exact(game, mode="full").exact
 
 
+def test_best_response_disagreement_raises(monkeypatch):
+    from oddcycle import games
+
+    honest = games._best_response_bob
+
+    def off_by_one(game, alice_table):
+        table, won = honest(game, alice_table)
+        return table, won - 1
+
+    monkeypatch.setattr(games, "_best_response_bob", off_by_one)
+    with pytest.raises(GameError, match="best response"):
+        classical_value_exact(make_odd_cycle_game(3, 1))
+
+
 def test_full_mode_budget_refusal():
     with pytest.raises(BudgetExceeded):
         classical_value_exact(make_odd_cycle_game(3, 2), mode="full")

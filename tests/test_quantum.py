@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from oddcycle.games import make_chsh_game, make_odd_cycle_game
 from oddcycle.quantum import (
     MeasurementBasis,
     QuantumError,
     QubitStrategy,
+    _maximize_profile,
     bell_phase_state,
     bias_and_approximality,
     canonical_odd_cycle_strategy,
@@ -249,6 +252,37 @@ def test_optimize_angles_reaches_chsh_optimum():
     game = make_chsh_game(1)
     result = optimize_angles(game, seed=1, starts=6)
     assert abs(result["value"] - (2 + math.sqrt(2)) / 4) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "game",
+    [make_odd_cycle_game(5, 1), make_odd_cycle_game(3, 2), make_chsh_game(2)],
+    ids=["odd-cycle-n5-d1", "odd-cycle-n3-d2", "chsh-d2"],
+)
+def test_optimize_angles_value_is_born_value_of_its_strategy(game):
+    result = optimize_angles(game, seed=2, starts=3)
+    assert abs(result["value"] - win_probability(game, result["strategy"])) < 1e-12
+
+
+FINE_GRID = np.linspace(0.0, 2 * math.pi, 65536, endpoint=False)
+COEFFICIENT = st.builds(complex, st.floats(-1, 1), st.floats(-1, 1))
+
+
+@given(
+    z1=COEFFICIENT,
+    z2=st.one_of(st.just(0j), COEFFICIENT),
+    z1_scale=st.sampled_from([1.0, 1e-2, 1e-4, 1e-7, 1e-10]),
+)
+# two nearly equal maxima, where the best grid peak is not the best maximum
+@example(z1=0.001 + 0.001j, z2=0.013 - 0.66j, z1_scale=1.0)
+def test_maximize_profile_beats_fine_grid(z1, z2, z1_scale):
+    z1 *= z1_scale
+
+    def profile(a):
+        return (z1 * np.exp(1j * a) + z2 * np.exp(2j * a)).real
+
+    best = _maximize_profile(z1, z2)
+    assert profile(np.array([best]))[0] >= profile(FINE_GRID).max() - 1e-12
 
 
 def test_optimize_angles_depth_cap():
