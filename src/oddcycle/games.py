@@ -22,6 +22,7 @@ from .torus import BudgetExceeded
 
 DEFAULT_ALICE_TABLE_BUDGET = 1 << 26
 DEFAULT_FULL_PAIR_BUDGET = 1 << 26
+EXHAUSTIVE_BLOCK_CELLS = 1 << 18  # Alice tables scored per block
 
 
 class GameError(ValueError):
@@ -72,16 +73,25 @@ class GameSpec:
     def weight_total(self) -> Fraction:
         return sum((w for _, _, w in self.pairs), Fraction(0))
 
-    def draws_by_bob(self) -> dict:
-        """Map bob_q -> list of (alice_index, target).  Valid because all
-        support weights are equal for the families built here."""
-        if not hasattr(self, "_draws"):
+    def bob_fan_in(self) -> tuple:
+        """Alice indices and XOR targets of the draws reaching each Bob
+        question, as two (ny, fan_in) arrays in support order.  Valid
+        because all support weights are equal for the families built here;
+        the fan-in (2^d for both families) must be uniform and the support
+        pairs distinct."""
+        if not hasattr(self, "_fan_in"):
             a_index = {q: i for i, q in enumerate(self.alice_questions)}
-            draws: dict = {q: [] for q in self.bob_questions}
+            rows: dict = {q: [] for q in self.bob_questions}
             for (qa, qb, _), t in zip(self.pairs, self.targets):
-                draws[qb].append((a_index[qa], t))
-            object.__setattr__(self, "_draws", draws)
-        return self._draws
+                rows[qb].append((a_index[qa], t))
+            sizes = sorted({len(row) for row in rows.values()})
+            if len(sizes) != 1:
+                raise GameError(f"Bob fan-in is not uniform: {sizes}")
+            if len({(qa, qb) for qa, qb, _ in self.pairs}) < len(self.pairs):
+                raise GameError("support pairs repeat")
+            draws = np.array(list(rows.values()), dtype=np.int64).reshape(len(rows), sizes[0], 2)
+            object.__setattr__(self, "_fan_in", (draws[..., 0], draws[..., 1]))
+        return self._fan_in
 
     def uniform_support_weight(self) -> Fraction:
         weights = {w for _, _, w in self.pairs}
@@ -172,16 +182,15 @@ class DeterministicStrategy:
 
     def validate(self, game: GameSpec):
         k = game.answers_per_question
-        for q in game.alice_questions:
-            if q not in self.alice_table:
-                raise StrategyError(f"alice table missing question {q}")
-            if not (0 <= self.alice_table[q] < k):
-                raise StrategyError(f"alice answer out of range at {q}")
-        for q in game.bob_questions:
-            if q not in self.bob_table:
-                raise StrategyError(f"bob table missing question {q}")
-            if not (0 <= self.bob_table[q] < k):
-                raise StrategyError(f"bob answer out of range at {q}")
+        for side, questions, table in (
+            ("alice", game.alice_questions, self.alice_table),
+            ("bob", game.bob_questions, self.bob_table),
+        ):
+            for q in questions:
+                if q not in table:
+                    raise StrategyError(f"{side} table missing question {q}")
+                if not (0 <= table[q] < k):
+                    raise StrategyError(f"{side} answer out of range at {q}")
 
     def to_json(self) -> dict:
         return {
@@ -208,15 +217,15 @@ def strategy_from_coordinate_rule(game: GameSpec, rule: Callable[[int], int]) ->
 
 def strategy_power(single: DeterministicStrategy, d: int) -> DeterministicStrategy:
     """d-fold product of a depth-1 strategy."""
-    alice = {}
-    bob = {}
-    singles_a = {q[0]: a for q, a in single.alice_table.items()}
-    singles_b = {q[0]: a for q, a in single.bob_table.items()}
-    for q in product(sorted(singles_a), repeat=d):
-        alice[q] = sum((singles_a[x] & 1) << i for i, x in enumerate(q))
-    for q in product(sorted(singles_b), repeat=d):
-        bob[q] = sum((singles_b[y] & 1) << i for i, y in enumerate(q))
-    return DeterministicStrategy(alice, bob)
+
+    def power(table: dict) -> dict:
+        singles = {q[0]: a for q, a in table.items()}
+        return {
+            q: sum((singles[x] & 1) << i for i, x in enumerate(q))
+            for q in product(sorted(singles), repeat=d)
+        }
+
+    return DeterministicStrategy(power(single.alice_table), power(single.bob_table))
 
 
 def random_strategy(game: GameSpec, rng) -> DeterministicStrategy:
@@ -264,22 +273,22 @@ class ValueReport:
         return data
 
 
+def _bob_histograms(game: GameSpec, alice: np.ndarray) -> np.ndarray:
+    """counts[y, b]: the draws reaching Bob question y that answer b wins
+    against the Alice answers ``alice`` (indexed like alice_questions)."""
+    xs, ts = game.bob_fan_in()
+    k = game.answers_per_question
+    flat = (alice[xs] ^ ts) + k * np.arange(len(xs))[:, None]
+    return np.bincount(flat.ravel(), minlength=len(xs) * k).reshape(len(xs), k)
+
+
 def _best_response_bob(game: GameSpec, alice_table: dict) -> tuple:
     """Bob's optimal table against a fixed Alice table, plus the win count
-    (number of uniform draws won)."""
-    draws = game.draws_by_bob()
-    k = game.answers_per_question
-    alice_list = [alice_table[q] for q in game.alice_questions]
-    bob = {}
-    won = 0
-    for qb, entries in draws.items():
-        counts = [0] * k
-        for x_idx, t in entries:
-            counts[alice_list[x_idx] ^ t] += 1
-        best = max(range(k), key=lambda b: (counts[b], -b))
-        bob[qb] = best
-        won += counts[best]
-    return bob, won
+    (number of uniform draws won).  Ties go to the smallest answer."""
+    alice = np.array([alice_table[q] for q in game.alice_questions], dtype=np.int64)
+    counts = _bob_histograms(game, alice)
+    bob = {q: int(b) for q, b in zip(game.bob_questions, counts.argmax(axis=1))}
+    return bob, int(counts.max(axis=1).sum())
 
 
 def classical_value_exact(
@@ -287,7 +296,6 @@ def classical_value_exact(
     mode: str = "alice-exhaustive-best-response",
     alice_budget: int = DEFAULT_ALICE_TABLE_BUDGET,
     full_budget: int = DEFAULT_FULL_PAIR_BUDGET,
-    block: int = 1 << 18,
 ) -> ValueReport:
     """Exact maximum over deterministic strategies.
 
@@ -313,7 +321,7 @@ def classical_value_exact(
         raise BudgetExceeded(
             f"{table_count} alice tables exceed budget; use classical_value_search"
         )
-    return _exact_alice_exhaustive(game, block)
+    return _exact_alice_exhaustive(game)
 
 
 def _exact_full(game: GameSpec) -> ValueReport:
@@ -352,38 +360,49 @@ def _exact_full(game: GameSpec) -> ValueReport:
     )
 
 
-def _exact_alice_exhaustive(game: GameSpec, block: int) -> ValueReport:
+def _digit_histograms(game: GameSpec, lo: int, hi: int) -> np.ndarray:
+    """Per-Bob answer histograms over the Alice digits lo..hi-1 alone:
+    H[y, b, i] counts the draws reaching Bob question y from an Alice
+    question x in [lo, hi) that answer b wins when those digits spell
+    i = sum_x a_x k^(x - lo)."""
+    xs, ts = game.bob_fan_in()
+    k = game.answers_per_question
+    span = np.arange(k ** (hi - lo))
+    hist = np.zeros((len(xs), k, len(span)), dtype=np.min_scalar_type(xs.shape[1]))
+    for (y, j), x in np.ndenumerate(xs):
+        if lo <= x < hi:
+            hist[y, (span // k ** (x - lo)) % k ^ ts[y, j], span] += 1
+    return hist
+
+
+def _exact_alice_exhaustive(game: GameSpec) -> ValueReport:
+    """Score every Alice table index = hi * k^half + lo as
+    sum_y max_b (H_hi[y, b, hi] + H_lo[y, b, lo]), one block of high
+    indices at a time; the witness is the smallest-index maximiser."""
     k = game.answers_per_question
     nx = len(game.alice_questions)
     weight = game.uniform_support_weight()
-    table_count = k ** nx
-    draws = game.draws_by_bob()
-    per_bob = [
-        (
-            np.array([x for x, _ in draws[qb]], dtype=np.int64),
-            np.array([t for _, t in draws[qb]], dtype=np.uint8),
-        )
-        for qb in game.bob_questions
-    ]
-    radix = k ** np.arange(nx, dtype=np.int64)
-    best_won = -1
-    best_table_idx = -1
-    for start in range(0, table_count, block):
-        stop = min(start + block, table_count)
-        idx = np.arange(start, stop, dtype=np.int64)
-        tables = ((idx[:, None] // radix[None, :]) % k).astype(np.uint8)
-        acc = np.zeros(stop - start, dtype=np.int64)
-        row = np.arange(stop - start, dtype=np.int64) * k
-        for xs, ts in per_bob:
-            h = tables[:, xs] ^ ts[None, :]
-            flat = h.astype(np.int64) + row[:, None]
-            counts = np.bincount(flat.ravel(), minlength=(stop - start) * k)
-            acc += counts.reshape(stop - start, k).max(axis=1)
-        local_best = int(acc.argmax())
-        if int(acc[local_best]) > best_won:
-            best_won = int(acc[local_best])
-            best_table_idx = start + local_best
-    digits = [(best_table_idx // int(r)) % k for r in radix]
+    half = nx // 2
+    h_lo = _digit_histograms(game, 0, half)
+    h_hi = _digit_histograms(game, half, nx)
+    width = h_lo.shape[2]
+    rows = max(1, EXHAUSTIVE_BLOCK_CELLS // width)
+    best_won, best_table_idx = -1, -1
+    for start in range(0, h_hi.shape[2], rows):
+        hi = h_hi[:, :, start : start + rows, None]
+        total = np.zeros((hi.shape[2], width), dtype=np.min_scalar_type(len(game.pairs)))
+        best, other = np.empty((2,) + total.shape, dtype=h_lo.dtype)
+        for y in range(len(h_lo)):
+            np.add(hi[y, 0], h_lo[y, 0], out=best)
+            for b in range(1, k):
+                np.add(hi[y, b], h_lo[y, b], out=other)
+                np.maximum(best, other, out=best)
+            np.add(total, best, out=total)
+        local_best = int(total.argmax())
+        if int(total.flat[local_best]) > best_won:
+            best_won = int(total.flat[local_best])
+            best_table_idx = start * width + local_best
+    digits = [(best_table_idx // k**i) % k for i in range(nx)]
     alice_table = {q: digits[i] for i, q in enumerate(game.alice_questions)}
     bob_table, won = _best_response_bob(game, alice_table)
     if won != best_won:
@@ -394,68 +413,53 @@ def _exact_alice_exhaustive(game: GameSpec, block: int) -> ValueReport:
         method="alice-exhaustive-best-response",
         exact=exact,
         witness=DeterministicStrategy(alice_table, bob_table),
-        evaluations=table_count,
+        evaluations=k**nx,
     )
 
 
 class _SearchState:
     """Incremental best-response bookkeeping for local search over Alice
-    tables: per-Bob-question answer counts and their running maxima."""
+    tables: per-Bob-question answer counts, their running maxima, and per
+    Alice question the (bob_index, target) edges of the draws it feeds
+    (at most one per Bob question)."""
 
     def __init__(self, game: GameSpec, alice: list):
-        self.k = game.answers_per_question
         self.alice = alice
-        draws = game.draws_by_bob()
-        self.bob_questions = list(game.bob_questions)
-        self.entries = []  # per bob question: list of (alice_idx, target)
-        self.touching = [[] for _ in game.alice_questions]
-        for yi, qb in enumerate(self.bob_questions):
-            entry = list(draws[qb])
-            self.entries.append(entry)
-            for x, _ in entry:
-                self.touching[x].append(yi)
-        self.counts = []
-        self.maxima = []
-        for yi in range(len(self.bob_questions)):
-            counts = [0] * self.k
-            for x, t in self.entries[yi]:
-                counts[self.alice[x] ^ t] += 1
-            self.counts.append(counts)
-            self.maxima.append(max(counts))
+        self.counts = _bob_histograms(game, np.array(alice, dtype=np.int64)).tolist()
+        self.maxima = [max(counts) for counts in self.counts]
         self.total = sum(self.maxima)
+        xs, ts = game.bob_fan_in()
+        self.edges = [[] for _ in alice]
+        for (yi, j), x in np.ndenumerate(xs):
+            self.edges[x].append((yi, int(ts[yi, j])))
 
-    def delta_for(self, x: int, new_answer: int) -> int:
+    def deltas(self, x: int) -> list:
+        """Change of ``total`` for every answer at Alice question x: per
+        edge, x's draw leaves the counts, each answer's maximum is read off
+        with that draw put back at answer ^ target, and the counts are
+        restored."""
         old = self.alice[x]
-        if new_answer == old:
-            return 0
-        delta = 0
-        for yi in self.touching[x]:
+        out = [0] * len(self.counts[0])
+        for yi, t in self.edges[x]:
             counts = self.counts[yi]
+            counts[old ^ t] -= 1
+            rest = max(counts)
             before = self.maxima[yi]
-            changed = {}
-            for xx, t in self.entries[yi]:
-                if xx == x:
-                    changed[old ^ t] = changed.get(old ^ t, 0) - 1
-                    changed[new_answer ^ t] = changed.get(new_answer ^ t, 0) + 1
-            after = 0
-            for b in range(self.k):
-                after = max(after, counts[b] + changed.get(b, 0))
-            delta += after - before
-        return delta
+            for a in range(len(out)):
+                c = counts[a ^ t] + 1
+                out[a] += (c if c > rest else rest) - before
+            counts[old ^ t] += 1
+        return out
 
     def apply(self, x: int, new_answer: int):
         old = self.alice[x]
-        if new_answer == old:
-            return
-        for yi in self.touching[x]:
+        for yi, t in self.edges[x]:
             counts = self.counts[yi]
-            for xx, t in self.entries[yi]:
-                if xx == x:
-                    counts[old ^ t] -= 1
-                    counts[new_answer ^ t] += 1
+            counts[old ^ t] -= 1
+            counts[new_answer ^ t] += 1
+            self.total += max(counts) - self.maxima[yi]
             self.maxima[yi] = max(counts)
         self.alice[x] = new_answer
-        self.total = sum(self.maxima)
 
 
 def classical_value_search(
@@ -497,33 +501,19 @@ def classical_value_search(
         it += 1
         x = position
         position = (position + 1) % nx
-        best_delta = 0
-        best_answer = state.alice[x]
-        for a in range(k):
-            if a == state.alice[x]:
-                continue
-            delta = state.delta_for(x, a)
-            if delta > best_delta:
-                best_delta = delta
-                best_answer = a
-        if best_delta > 0:
-            state.apply(x, best_answer)
+        deltas = state.deltas(x)
+        if max(deltas) > 0:
+            state.apply(x, deltas.index(max(deltas)))
             improved_this_pass = True
-            if state.total > best_won:
-                best_won = state.total
-                best_alice = list(state.alice)
         if position == 0:
-            if not improved_this_pass:
-                stale_passes += 1
-            else:
-                stale_passes = 0
+            stale_passes = 0 if improved_this_pass else stale_passes + 1
             improved_this_pass = False
             if stale_passes >= restart_after:
                 state = fresh_state()
                 stale_passes = 0
-                if state.total > best_won:
-                    best_won = state.total
-                    best_alice = list(state.alice)
+        if state.total > best_won:
+            best_won = state.total
+            best_alice = list(state.alice)
     alice_table = {q: best_alice[i] for i, q in enumerate(game.alice_questions)}
     bob_table, won = _best_response_bob(game, alice_table)
     exact = won * weight

@@ -17,6 +17,7 @@ reported probability is the exact Born value of that product strategy.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -176,25 +177,34 @@ def win_probability(game: GameSpec, qs: QubitStrategy) -> float:
     return min(1.0, max(0.0, total))
 
 
+def _canonical_angles(n: int) -> tuple:
+    phi = math.pi * (n - 1) / n
+    return {x: phi * x - math.pi / (2 * n) for x in range(n)}, {y: -phi * y for y in range(n)}
+
+
+@functools.lru_cache(maxsize=256)
+def _canonical_flips(n: int, theta: float) -> tuple:
+    """The (alice_flip, bob_flip) outcome maps that maximize the depth-1
+    winning probability of the canonical angle tables."""
+    alice, bob = _canonical_angles(n)
+    state = bell_phase_state(theta)
+    game = make_odd_cycle_game(n, 1)
+    best = None
+    for flips in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        value = win_probability(game, QubitStrategy(state, alice, bob, *flips))
+        if best is None or value > best[0] + 1e-15:
+            best = (value, flips)
+    return best[1]
+
+
 def canonical_odd_cycle_strategy(n: int, theta: float = 0.0) -> QubitStrategy:
     """Angle tables alpha_x = pi*x*(n-1)/n - pi/(2n), beta_y = -pi*y*(n-1)/n
     over x, y in [n], with the outcome maps chosen (among the four flip
     conventions) to maximize the winning probability of the depth-1 game."""
     if n < 3 or n % 2 == 0:
         raise QuantumError("n must be odd and at least 3")
-    phi = math.pi * (n - 1) / n
-    alice = {x: phi * x - math.pi / (2 * n) for x in range(n)}
-    bob = {y: -phi * y for y in range(n)}
-    state = bell_phase_state(theta)
-    game = make_odd_cycle_game(n, 1)
-    best = None
-    for flip_a in (0, 1):
-        for flip_b in (0, 1):
-            qs = QubitStrategy(state, alice, bob, flip_a, flip_b)
-            value = win_probability(game, qs)
-            if best is None or value > best[0] + 1e-15:
-                best = (value, qs)
-    return best[1]
+    alice, bob = _canonical_angles(n)
+    return QubitStrategy(bell_phase_state(theta), alice, bob, *_canonical_flips(n, theta))
 
 
 # -- angle optimization --------------------------------------------------------

@@ -32,6 +32,34 @@ def brute_force_value(game):
     return best
 
 
+def best_response_won(game, a_table):
+    """Draws won by Alice's table against Bob's best response, counted
+    pair by pair for each Bob question and answer."""
+    k = game.answers_per_question
+    won = 0
+    for qb in game.bob_questions:
+        won += max(
+            sum(1 for (qa, qb2, _), t in zip(game.pairs, game.targets) if qb2 == qb and (a_table[qa] ^ b) == t)
+            for b in range(k)
+        )
+    return won
+
+
+def exhaustive_witness(game):
+    """(value, alice_table) of the smallest-index maximising Alice table,
+    where table index sum_i a_i k^i puts Alice question i at digit i.
+    Assumes uniform support weights.  Only for tiny games."""
+    k = game.answers_per_question
+    aq = list(game.alice_questions)
+    best_won, best_table = -1, None
+    for digits in product(range(k), repeat=len(aq)):
+        a_table = dict(zip(aq, reversed(digits)))  # last digit varies fastest: increasing index
+        won = best_response_won(game, a_table)
+        if won > best_won:
+            best_won, best_table = won, a_table
+    return best_won * game.pairs[0][2], best_table
+
+
 def oracle_wrapped_diff(a, b, n):
     """Representative of a - b mod n closest to zero (ties to the positive
     side), written independently of the package helper."""

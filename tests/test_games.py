@@ -1,12 +1,17 @@
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
+from oddcycle import games
 from oddcycle.games import (
     DeterministicStrategy,
     GameError,
+    GameSpec,
     StrategyError,
+    _SearchState,
+    _best_response_bob,
     classical_value_exact,
     classical_value_search,
     evaluate_strategy,
@@ -19,7 +24,7 @@ from oddcycle.games import (
 )
 from oddcycle.torus import BudgetExceeded
 
-from oracles import brute_force_value
+from oracles import best_response_won, brute_force_value, exhaustive_witness
 
 
 def xmod2(game):
@@ -92,8 +97,6 @@ def test_chsh_malformed_delta():
 
 
 def test_always_win_targets_give_value_one():
-    from oddcycle.games import GameSpec
-
     g = make_odd_cycle_game(3, 1)
     always = GameSpec(
         g.kind, g.n, g.depth, g.alice_questions, g.bob_questions, g.pairs, tuple(0 for _ in g.targets)
@@ -138,9 +141,56 @@ def test_best_response_agrees_with_full():
         assert classical_value_exact(game).exact == classical_value_exact(game, mode="full").exact
 
 
-def test_best_response_disagreement_raises(monkeypatch):
-    from oddcycle import games
+CHSH_DELTA_KEYS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
+
+@pytest.mark.parametrize(
+    "game",
+    [make_chsh_game(2, dict(zip(CHSH_DELTA_KEYS, bits))) for bits in product((0, 1), repeat=4)]
+    + [make_odd_cycle_game(n, 1) for n in (3, 5, 7)],
+)
+@pytest.mark.parametrize("block_cells", [1, games.EXHAUSTIVE_BLOCK_CELLS], ids=["row-blocks", "default-blocks"])
+def test_exhaustive_matches_witness_oracle(game, block_cells, monkeypatch):
+    monkeypatch.setattr(games, "EXHAUSTIVE_BLOCK_CELLS", block_cells)
+    report = classical_value_exact(game)
+    value, alice_table = exhaustive_witness(game)
+    assert report.exact == value
+    assert report.witness.alice_table == alice_table
+    assert evaluate_strategy(game, report.witness) == value
+
+
+def test_bob_fan_in_uniform_and_checked():
+    for game, fan_in in ((make_odd_cycle_game(5, 2), 4), (make_chsh_game(3), 8)):
+        xs, ts = game.bob_fan_in()
+        assert xs.shape == ts.shape == (len(game.bob_questions), fan_in)
+    g = make_odd_cycle_game(3, 1)
+    ragged = GameSpec(g.kind, g.n, g.depth, g.alice_questions, g.bob_questions, g.pairs[1:], g.targets[1:])
+    with pytest.raises(GameError, match="not uniform"):
+        classical_value_exact(ragged)
+    doubled = GameSpec(g.kind, g.n, g.depth, g.alice_questions, g.bob_questions, g.pairs * 2, g.targets * 2)
+    with pytest.raises(GameError, match="repeat"):
+        classical_value_search(doubled)
+
+
+@pytest.mark.parametrize("game", [make_odd_cycle_game(5, 2), make_chsh_game(3)], ids=["odd-cycle-5-2", "chsh-3"])
+def test_search_state_tracks_recount(game):
+    rng = np.random.default_rng(11)
+    k = game.answers_per_question
+    questions = game.alice_questions
+    state = _SearchState(game, [int(a) for a in rng.integers(0, k, len(questions))])
+    for _ in range(60):
+        x, a = int(rng.integers(0, len(questions))), int(rng.integers(0, k))
+        table = dict(zip(questions, state.alice))
+        won = _best_response_bob(game, table)[1]
+        deltas = state.deltas(x)
+        for b in range(k):
+            assert deltas[b] == _best_response_bob(game, {**table, questions[x]: b})[1] - won
+        state.apply(x, a)
+        table = dict(zip(questions, state.alice))
+        assert state.total == _best_response_bob(game, table)[1] == best_response_won(game, table)
+
+
+def test_best_response_disagreement_raises(monkeypatch):
     honest = games._best_response_bob
 
     def off_by_one(game, alice_table):

@@ -116,6 +116,28 @@ def test_canonical_angle_tables():
     assert abs(qs5.alice_angles[0] - (-math.pi / 10)) < 1e-15
 
 
+def test_canonical_flips_computed_once_per_n(monkeypatch):
+    from oddcycle import quantum
+
+    calls = []
+    honest = quantum.win_probability
+    monkeypatch.setattr(quantum, "win_probability", lambda g, qs: calls.append(1) or honest(g, qs))
+    quantum._canonical_flips.cache_clear()
+    first = canonical_odd_cycle_strategy(7)
+    first.alice_angles[0] = 99.0
+    first.state.amplitudes[:] = 0
+    again = canonical_odd_cycle_strategy(7)
+    assert len(calls) == 4
+    assert again is not first and again.alice_angles[0] == -math.pi / 14
+    game = make_odd_cycle_game(7, 1)
+    best = max(
+        win_probability(game, QubitStrategy(again.state, again.alice_angles, again.bob_angles, fa, fb))
+        for fa in (0, 1)
+        for fb in (0, 1)
+    )
+    assert win_probability(game, again) == best
+
+
 def test_canonical_rejects_even_n():
     with pytest.raises(QuantumError):
         canonical_odd_cycle_strategy(4)
