@@ -32,12 +32,15 @@ from .torus import (
     BudgetExceeded,
     RegionSet,
     TorusGraph,
+    edge_id,
     giant_detect,
+    is_blocker,
     make_section,
     make_tube,
     min_blocker,
+    torus_edges,
     transverse_cut_blocker,
-    verify_blocker,
+    verify_blocker,  # unused here; perfbench/spans.py traces this binding
 )
 
 Z_95 = 1.96
@@ -135,39 +138,33 @@ def sample_torical_graph(n: int, d: int, removal_law: dict, rng) -> dict:
     Returns the graph plus attempt statistics; aborts with diagnostics when
     the acceptance rate collapses.
     """
-    base = TorusGraph(n, d)
-    all_edges = sorted(base.all_edges())
-    total_edges = len(all_edges)
+    TorusGraph(n, d)  # rejects a bad shape before any draw
+    edges = torus_edges(n, d)
     kind = removal_law.get("kind")
+    if kind == "transverse":
+        low = high = 0
+    elif kind == "uniform-size":
+        low = high = int(removal_law["size"])
+    elif kind == "uniform-size-range":
+        low, high = int(removal_law["low"]), int(removal_law["high"])
+    elif kind == "uniform-edge-fraction":
+        low = int(round(float(removal_law["low"]) * len(edges)))
+        high = int(round(float(removal_law["high"]) * len(edges)))
+    else:
+        raise ExperimentError(f"unknown removal law {removal_law!r}")
+    if not 0 <= low <= high <= len(edges):
+        raise ExperimentError(
+            f"removal size range [{low}, {high}] outside [0, {len(edges)}] edges"
+        )
 
-    def draw_size(low: int, high: int) -> int:
-        if not 0 <= low <= high <= total_edges:
-            raise ExperimentError("bad removal size range")
-        return int(rng.integers(low, high + 1))
-
-    attempts = 0
-    while attempts < MAX_SAMPLE_ATTEMPTS:
-        attempts += 1
+    for attempts in range(1, MAX_SAMPLE_ATTEMPTS + 1):
         if kind == "transverse":
-            removed = transverse_cut_blocker(n, d)
-        elif kind == "uniform-size":
-            size = int(removal_law["size"])
-            if size > total_edges:
-                raise ExperimentError("removal size exceeds edge count")
-        elif kind == "uniform-size-range":
-            size = draw_size(int(removal_law["low"]), int(removal_law["high"]))
-        elif kind == "uniform-edge-fraction":
-            size = draw_size(
-                int(round(float(removal_law["low"]) * total_edges)),
-                int(round(float(removal_law["high"]) * total_edges)),
-            )
+            ids = [edge_id(e, n) for e in transverse_cut_blocker(n, d)]
         else:
-            raise ExperimentError(f"unknown removal law {removal_law!r}")
-        if kind != "transverse":
-            idx = rng.choice(total_edges, size=size, replace=False)
-            removed = frozenset(all_edges[i] for i in idx)
-        g = TorusGraph(n, d, removed)
-        if verify_blocker(g, "odd-only")["blocked"]:
+            size = low if kind == "uniform-size" else int(rng.integers(low, high + 1))
+            ids = rng.choice(len(edges), size=size, replace=False).tolist()
+        if is_blocker(n, d, ids, "odd-only"):
+            g = TorusGraph(n, d, frozenset(edges[i] for i in ids))
             return {"graph": g, "attempts": attempts, "accepted": True}
     raise SamplingError(
         f"no torical sample accepted in {MAX_SAMPLE_ATTEMPTS} attempts "

@@ -93,6 +93,17 @@ class GameSpec:
             object.__setattr__(self, "_fan_in", (draws[..., 0], draws[..., 1]))
         return self._fan_in
 
+    def alice_fan_out(self) -> tuple:
+        """Per Alice question, the (bob_index, target) pairs of the draws it
+        feeds, read off ``bob_fan_in`` once per game."""
+        if not hasattr(self, "_fan_out"):
+            xs, ts = self.bob_fan_in()
+            edges = [[] for _ in self.alice_questions]
+            for (yi, j), x in np.ndenumerate(xs):
+                edges[x].append((yi, int(ts[yi, j])))
+            object.__setattr__(self, "_fan_out", tuple(tuple(e) for e in edges))
+        return self._fan_out
+
     def uniform_support_weight(self) -> Fraction:
         weights = {w for _, _, w in self.pairs}
         if len(weights) != 1:
@@ -428,10 +439,7 @@ class _SearchState:
         self.counts = _bob_histograms(game, np.array(alice, dtype=np.int64)).tolist()
         self.maxima = [max(counts) for counts in self.counts]
         self.total = sum(self.maxima)
-        xs, ts = game.bob_fan_in()
-        self.edges = [[] for _ in alice]
-        for (yi, j), x in np.ndenumerate(xs):
-            self.edges[x].append((yi, int(ts[yi, j])))
+        self.edges = game.alice_fan_out()
 
     def deltas(self, x: int) -> list:
         """Change of ``total`` for every answer at Alice question x: per

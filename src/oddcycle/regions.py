@@ -25,9 +25,10 @@ from .torus import (
     CyclePath,
     TorusGraph,
     TorusError,
+    edge_id,
     geodesic,
+    is_blocker,
     torus_linf,
-    verify_blocker,
     winding_and_parity,
     wrapped_diff,
 )
@@ -305,8 +306,7 @@ def grow_consistent_cycle(
     """
     rng = np.random.default_rng(seed)
     if strict:
-        check = verify_blocker(g, "odd-only")
-        if not check["blocked"]:
+        if not is_blocker(g.n, g.d, [edge_id(e, g.n) for e in g.removed], "odd-only"):
             raise RegionError("strict mode requires a torical graph (odd cycles blocked)")
     n, d = g.n, g.d
     if center is None:

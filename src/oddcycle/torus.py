@@ -18,7 +18,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
+from itertools import compress, product
 from typing import Iterator, Optional, Sequence
 
 Vertex = tuple
@@ -211,14 +212,15 @@ def winding_and_parity(g: TorusGraph, path: Sequence[Vertex]) -> dict:
 
 def _component_labelings(g: TorusGraph):
     """BFS every component, assigning Z^d lift labels.  Yields, per
-    component, the label map, parent pointers and the list of non-tree
-    edges with their fundamental-cycle windings."""
+    component, the label map, parent pointers, BFS depths and the list of
+    non-tree edges with their fundamental-cycle windings."""
     labels = {}
     seen = set()
     for root in g.vertices():
         if root in seen:
             continue
         parents = {root: None}
+        depth = {root: 0}
         labels[root] = tuple([0] * g.d)
         seen.add(root)
         fundamentals = []
@@ -233,13 +235,14 @@ def _component_labelings(g: TorusGraph):
                 if u not in comp_labels:
                     comp_labels[u] = lift
                     parents[u] = (v, axis, sign)
+                    depth[u] = depth[v] + 1
                     seen.add(u)
                     queue.append(u)
                 else:
                     winding = tuple(a - b for a, b in zip(lift, comp_labels[u]))
                     if any(winding):
                         fundamentals.append((v, u, axis, sign, winding))
-        yield comp_labels, parents, fundamentals
+        yield comp_labels, parents, depth, fundamentals
 
 
 def _tree_path(parents, v):
@@ -282,7 +285,7 @@ def verify_blocker(g: TorusGraph, mode: str = "all-nontrivial") -> dict:
     if mode not in ("all-nontrivial", "odd-only"):
         raise TorusError(f"unknown mode {mode!r}")
     labeling = {}
-    for comp_labels, parents, fundamentals in _component_labelings(g):
+    for comp_labels, parents, _, fundamentals in _component_labelings(g):
         for v, u, axis, sign, winding in fundamentals:
             bad = any(winding) if mode == "all-nontrivial" else any(
                 w % 2 == 1 for w in winding
@@ -295,19 +298,98 @@ def verify_blocker(g: TorusGraph, mode: str = "all-nontrivial") -> dict:
     return {"blocked": True, "witness": None, "labeling": labeling}
 
 
+# -- blocker decision on edge ids ----------------------------------------------
+
+
+@lru_cache(maxsize=32)
+def torus_edges(n: int, d: int = 2) -> tuple:
+    """Every edge of the n^d torus, indexed by edge id.  The id of
+    ``(v, axis)`` is ``rank(v) * d + axis``, where rank(v) is v's position
+    in lexicographic order, so the tuple equals sorted(all_edges())."""
+    return tuple((v, axis) for v in product(range(n), repeat=d) for axis in range(d))
+
+
+def edge_id(edge: Edge, n: int) -> int:
+    vertex, axis = edge
+    rank = 0
+    for c in vertex:
+        rank = rank * n + c
+    return rank * len(vertex) + axis
+
+
+@lru_cache(maxsize=32)
+def _edge_ends(n: int, d: int) -> tuple:
+    """Per edge id: (tail rank, head rank, packed unit lift step), then
+    ``centre`` and ``low_bits``.  A lift vector w in Z^d is packed as
+    sum w_a 2^(width a), with 2^(width-1) above 2 n^d, so that every
+    winding the union-find forms (two forest paths of at most n^d - 1
+    steps plus the closing edge) unpacks uniquely.  Adding ``centre`` moves
+    each field into [0, 2^width) without carries; ``low_bits`` then reads
+    the parity of every component at once."""
+    width = (4 * n ** d).bit_length()
+    ends = []
+    for tail in range(n ** d):
+        for axis in range(d):
+            place = n ** (d - 1 - axis)
+            wraps = (tail // place) % n == n - 1
+            ends.append((tail, tail - (n - 1) * place if wraps else tail + place, 1 << (width * axis)))
+    centre = sum(1 << (width * axis + width - 1) for axis in range(d))
+    low_bits = sum(1 << (width * axis) for axis in range(d))
+    return tuple(ends), centre, low_bits
+
+
+def is_blocker(n: int, d: int, removed, mode: str = "all-nontrivial") -> bool:
+    """Whether removing the edges with the given ids (see ``torus_edges``)
+    blocks every topologically nontrivial cycle of the n^d torus (odd-only:
+    every cycle of odd winding).  Decides as ``verify_blocker(g,
+    mode)["blocked"]`` does, without its witness or labelling.
+
+    One pass over the surviving edges with a union-find, linked by size,
+    whose links carry the Z^d lift offset of a vertex to its parent.  An
+    edge closing a cycle inside one tree exposes that cycle's winding; the
+    removal blocks iff every such winding is zero (odd-only: even), since
+    these fundamental cycles generate every cycle of the residual graph.
+    """
+    if mode not in ("all-nontrivial", "odd-only"):
+        raise TorusError(f"unknown mode {mode!r}")
+    if mode == "odd-only" and n % 2 == 0:
+        # a closed walk moves each coordinate by a multiple of n: all even
+        return True
+    ends, centre, low_bits = _edge_ends(n, d)
+    mask = low_bits if mode == "odd-only" else -1
+    alive = bytearray(b"\x01") * len(ends)
+    for e in removed:
+        alive[e] = 0
+    parent = list(range(n ** d))
+    offset = [0] * n ** d  # packed lift(v) - lift(parent[v])
+    size = [1] * n ** d
+    for tail, head, step in compress(ends, alive):
+        rt, ot = tail, 0
+        while parent[rt] != rt:
+            ot += offset[rt]
+            rt = parent[rt]
+        rh, oh = head, 0
+        while parent[rh] != rh:
+            oh += offset[rh]
+            rh = parent[rh]
+        drift = ot + step - oh  # lift(rh) - lift(rt) implied by this edge
+        if rt == rh:
+            if drift and (drift + centre) & mask:
+                return False
+        elif size[rt] < size[rh]:
+            parent[rt], offset[rt] = rh, -drift
+            size[rh] += size[rt]
+        else:
+            parent[rh], offset[rh] = rt, drift
+            size[rt] += size[rh]
+    return True
+
+
 def _shortest_bad_cycle(g: TorusGraph, mode: str) -> Optional[CyclePath]:
     """A short surviving bad cycle, or None if the graph is blocked.
     Scans every component's fundamental cycles and keeps the shortest."""
     best = None
-    for comp_labels, parents, fundamentals in _component_labelings(g):
-        depth = {}
-        for v in comp_labels:
-            n_steps = 0
-            w = v
-            while parents[w] is not None:
-                w = parents[w][0]
-                n_steps += 1
-            depth[v] = n_steps
+    for _, parents, depth, fundamentals in _component_labelings(g):
         for v, u, axis, sign, winding in fundamentals:
             bad = any(winding) if mode == "all-nontrivial" else any(
                 wd % 2 == 1 for wd in winding
@@ -379,7 +461,7 @@ def min_blocker(
 def _min_blocker_exact(g0: TorusGraph, mode: str, budget: int) -> dict:
     start = transverse_cut_blocker(g0.n, g0.d)
     best = {"size": len(start), "edges": set(start)}
-    if verify_blocker(g0, mode)["blocked"]:
+    if is_blocker(g0.n, g0.d, (), mode):
         return {"size": 0, "edges": set(), "method": "exact", "nodes": 1}
     nodes = 0
 
@@ -422,14 +504,18 @@ def _min_blocker_heuristic(g0: TorusGraph, mode: str, seed: int) -> dict:
     import random
 
     rng = random.Random(seed)
-    current = set(transverse_cut_blocker(g0.n, g0.d))
-    order = sorted(current)
+    n, d = g0.n, g0.d
+    kept = {edge_id(e, n) for e in transverse_cut_blocker(n, d)}
+    order = sorted(kept)  # id order is edge order: the shuffle is unchanged
     rng.shuffle(order)
-    for edge in order:
-        trial = current - {edge}
-        if verify_blocker(TorusGraph(g0.n, g0.d, frozenset(trial)), mode)["blocked"]:
-            current = trial
-    if not verify_blocker(TorusGraph(g0.n, g0.d, frozenset(current)), mode)["blocked"]:
+    for e in order:
+        kept.remove(e)
+        if not is_blocker(n, d, kept, mode):
+            kept.add(e)
+    edges = torus_edges(n, d)
+    current = {edges[e] for e in kept}
+    # independent cross-check of the kernel by the labelling BFS
+    if not verify_blocker(TorusGraph(n, d, frozenset(current)), mode)["blocked"]:
         raise TorusError(f"heuristic {mode} blocker of size {len(current)} does not block")
     return {
         "size": len(current),

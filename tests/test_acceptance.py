@@ -20,7 +20,14 @@ from oddcycle.games import (
 from oddcycle.quantum import canonical_odd_cycle_strategy, win_probability
 from oddcycle.regions import grow_consistent_cycle, value_via_regions
 from oddcycle.serialize import dumps
-from oddcycle.torus import TorusGraph, min_blocker, verify_blocker, winding_and_parity
+from oddcycle.torus import (
+    TorusGraph,
+    is_blocker,
+    min_blocker,
+    torus_edges,
+    verify_blocker,
+    winding_and_parity,
+)
 
 from oracles import (
     blocked_by_enumeration,
@@ -196,18 +203,25 @@ def test_criterion_7_blocker_machinery():
             "odd-only": [e for e, w in cycles if any(x % 2 for x in w)],
         }
         edges = sorted(TorusGraph(n, 2).all_edges())
-        sets = [frozenset()]
-        sets += [frozenset(c) for r in (1, 2, 3) for c in combinations(edges, r)]
-        for removed in sets:
+        assert torus_edges(n, 2) == tuple(edges)  # edge id = position here
+        id_sets = [()] + [c for r in (1, 2, 3) for c in combinations(range(len(edges)), r)]
+        for ids in id_sets:
+            removed = frozenset(edges[i] for i in ids)
             g = TorusGraph(n, 2, removed)
             for mode in ("all-nontrivial", "odd-only"):
                 labeled = verify_blocker(g, mode)["blocked"]
                 enumerated = all(es & removed for es in flagged[mode])
                 assert labeled == enumerated, (n, mode, sorted(removed))
+                assert is_blocker(n, 2, ids, mode) == enumerated, (n, mode, ids)
         assert min_blocker(TorusGraph(n, 2))["size"] == 2 * n
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0
-    announce("7", "labeling == enumeration on all removal sets of size <= 3 over T3/T4, both modes; min blocker = 2n", elapsed)
+    announce(
+        "7",
+        "labeling == union-find decision == enumeration on all removal sets of size <= 3 "
+        "over T3/T4, both modes; min blocker = 2n",
+        elapsed,
+    )
 
 
 def test_criterion_8_main_theorem_estimators():

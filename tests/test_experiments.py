@@ -112,6 +112,30 @@ def test_sample_unknown_law():
         sample_torical_graph(3, 2, {"kind": "bogus"}, rng)
 
 
+@pytest.mark.parametrize("size", [-1, 19])
+def test_sample_size_outside_edge_count(size):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ExperimentError):
+        sample_torical_graph(3, 2, {"kind": "uniform-size", "size": size}, rng)
+
+
+def test_sample_default_law_seeded_draw_pinned():
+    # attempts and accepted removal (as positions in sorted edge order)
+    # recorded from the labelling-BFS sampler; the rng stream and the
+    # accept decisions must not move
+    rec = sample_torical_graph(9, 2, ExperimentConfig().removal_law, np.random.default_rng(9))
+    edges = sorted(TorusGraph(9, 2).all_edges())
+    expected = [
+        1, 4, 6, 8, 15, 16, 18, 20, 26, 27, 28, 30, 33, 34, 37, 38, 39, 40, 41, 42, 43,
+        46, 47, 50, 51, 52, 53, 55, 56, 61, 62, 65, 66, 68, 69, 70, 72, 73, 76, 77, 79,
+        80, 82, 86, 89, 91, 94, 96, 97, 100, 101, 102, 104, 108, 109, 118, 120, 122, 123,
+        125, 127, 128, 129, 130, 132, 135, 137, 138, 142, 144, 145, 146, 147, 150, 151,
+        153, 155, 156, 157, 159, 161,
+    ]
+    assert rec["attempts"] == 10
+    assert sorted(rec["graph"].removed) == [edges[i] for i in expected]
+
+
 def test_sample_size_six_acceptance_matches_exhaustive_count():
     # oracle: count the blocking 6-subsets of the 18 edges outright
     edges = sorted(TorusGraph(3, 2).all_edges())

@@ -178,6 +178,7 @@ def test_search_state_tracks_recount(game):
     k = game.answers_per_question
     questions = game.alice_questions
     state = _SearchState(game, [int(a) for a in rng.integers(0, k, len(questions))])
+    assert _SearchState(game, list(state.alice)).edges is state.edges  # built once per game
     for _ in range(60):
         x, a = int(rng.integers(0, len(questions))), int(rng.integers(0, k))
         table = dict(zip(questions, state.alice))

@@ -2,19 +2,24 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddcycle import torus
 from oddcycle.torus import (
     BudgetExceeded,
     TorusError,
     TorusGraph,
+    edge_id,
     geodesic,
     giant_detect,
+    is_blocker,
     make_cube,
     make_section,
     make_tube,
     min_blocker,
     region_stats,
+    torus_edges,
     transverse_cut_blocker,
     verify_blocker,
     winding_and_parity,
@@ -117,6 +122,64 @@ def test_labeling_agrees_with_enumeration_spot_check():
             )
 
 
+def test_edge_ids_follow_sorted_edge_order():
+    for n, d in ((2, 1), (3, 2), (4, 3)):
+        edges = sorted(TorusGraph(n, d).all_edges())
+        assert list(torus_edges(n, d)) == edges
+        assert [edge_id(e, n) for e in edges] == list(range(len(edges)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    d=st.integers(1, 3),
+    density=st.floats(0, 1),
+    rnd=st.randoms(use_true_random=False),
+)
+def test_is_blocker_matches_verify_blocker(n, d, density, rnd):
+    # n = 2 has parallel edges; d = 1 is a plain cycle
+    edges = torus_edges(n, d)
+    removed = [e for e in range(len(edges)) if rnd.random() < density]
+    g = TorusGraph(n, d, frozenset(edges[e] for e in removed))
+    for mode in ("all-nontrivial", "odd-only"):
+        assert is_blocker(n, d, removed, mode) == verify_blocker(g, mode)["blocked"]
+
+
+X, Y, Z = (0, 1), (1, 1), (2, 1)
+
+
+@pytest.mark.parametrize(
+    "n, d, moves, winding, odd_blocked",
+    [
+        # slope (4, -1) curve through all of T5^2: catches lift fields too
+        # narrow for its winding, which would pack to zero
+        (5, 2, ([X] * 4 + [(1, -1)]) * 5, (20, -5), False),
+        # simple cycle winding twice around axis 0 of T3^3: nontrivial but
+        # even, the one shape on which the two modes differ at odd n
+        (3, 3, [X, X, Y, X, X, Z, (1, -1), X, X, (2, -1)], (6, 0, 0), True),
+    ],
+)
+def test_is_blocker_single_surviving_cycle(n, d, moves, winding, odd_blocked):
+    g0 = TorusGraph(n, d)
+    v = tuple([0] * d)
+    kept, total = set(), [0] * d
+    for axis, sign in moves:
+        kept.add(g0.edge_of_step(v, axis, sign))
+        v = g0.step(v, axis, sign)
+        total[axis] += sign
+    assert v == tuple([0] * d) and len(kept) == len(moves) and tuple(total) == winding
+    removed = [i for i, e in enumerate(torus_edges(n, d)) if e not in kept]
+    g = TorusGraph(n, d, frozenset(torus_edges(n, d)[i] for i in removed))
+    for mode, blocked in (("all-nontrivial", False), ("odd-only", odd_blocked)):
+        assert verify_blocker(g, mode)["blocked"] == blocked
+        assert is_blocker(n, d, removed, mode) == blocked
+
+
+def test_is_blocker_unknown_mode():
+    with pytest.raises(TorusError):
+        is_blocker(3, 2, (), "even-only")
+
+
 def test_min_blocker_matches_disjoint_loop_bound():
     assert min_blocker(TorusGraph(3, 2))["size"] == 6
     assert min_blocker(TorusGraph(4, 2))["size"] == 8
@@ -143,6 +206,15 @@ def test_min_blocker_branch_and_bound_searches_without_loop_bound(monkeypatch):
     rec = min_blocker(TorusGraph(3, 2))
     assert rec["size"] == 6
     assert rec["nodes"] > 1
+    # the branching follows the shortest bad cycle; pinned node counts and
+    # edges catch a change in which cycle is taken as shortest
+    cut3 = [((0, 2), 1), ((1, 2), 1), ((2, 0), 0), ((2, 1), 0), ((2, 2), 0), ((2, 2), 1)]
+    for mode in ("all-nontrivial", "odd-only"):
+        rec = min_blocker(TorusGraph(3, 2), mode)
+        assert (rec["size"], sorted(rec["edges"]), rec["nodes"]) == (6, cut3, 6010)
+    rec = min_blocker(TorusGraph(2, 2))
+    cut2 = [((0, 1), 1), ((1, 0), 0), ((1, 1), 0), ((1, 1), 1)]
+    assert (rec["size"], sorted(rec["edges"]), rec["nodes"]) == (4, cut2, 63)
 
 
 def test_min_blocker_budget_refusal():
