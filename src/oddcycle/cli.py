@@ -303,6 +303,7 @@ def _cmd_norms(args) -> dict:
 
 
 def _cmd_experiment(args) -> tuple:
+    grid = {"theta_grid": tuple(float(x) for x in args.theta_grid.split(","))} if args.theta_grid else {}
     config = ExperimentConfig(
         n_values=tuple(int(x) for x in args.n_values.split(",")),
         d=args.d,
@@ -312,9 +313,8 @@ def _cmd_experiment(args) -> tuple:
         epsilon3=args.epsilon,
         seed=args.seed,
         keep_per_sample=args.per_sample,
+        **grid,
     )
-    if args.theta_grid:
-        config.theta_grid = tuple(float(x) for x in args.theta_grid.split(","))
     report = estimate_events(config, threads=args.threads)
     payload = report.to_json()
     payload["schema"] = "oddcycle.experiment/1"

@@ -120,6 +120,13 @@ def classify_count_ratio(ratio: float, low: float, high: float) -> int:
 
 
 MAX_SAMPLE_ATTEMPTS = 100_000
+# removal-law kind -> the keys it needs
+REMOVAL_LAWS = {
+    "transverse": (),
+    "uniform-size": ("size",),
+    "uniform-size-range": ("low", "high"),
+    "uniform-edge-fraction": ("low", "high"),
+}
 
 
 def sample_torical_graph(n: int, d: int, removal_law: dict, rng) -> dict:
@@ -343,6 +350,24 @@ class ExperimentConfig:
     keep_per_sample: bool = False
     foam_d: int = 2
     foam_samples: int = 200
+
+    def __post_init__(self):
+        if self.samples < 1:
+            raise ExperimentError(f"samples must be at least 1, got {self.samples}")
+        for name in ("epsilon1", "epsilon2", "epsilon3"):
+            if not 0 < getattr(self, name) < 1:
+                raise ExperimentError(f"{name} must lie in (0, 1), got {getattr(self, name)}")
+        if not self.theta_grid or not all(theta > 0 for theta in self.theta_grid):
+            raise ExperimentError(f"theta_grid must be nonempty and positive, got {list(self.theta_grid)}")
+        needs = REMOVAL_LAWS.get(self.removal_law.get("kind"))
+        if needs is None or not all(key in self.removal_law for key in needs):
+            raise ExperimentError(f"unknown removal law {self.removal_law!r}")
+        if not self.n_values or not 1 <= self.tube_width <= min(self.n_values):
+            raise ExperimentError(
+                f"tube_width {self.tube_width} outside [1, min(n_values)] for n_values {list(self.n_values)}"
+            )
+        if self.d not in (1, 2):
+            raise ExperimentError(f"d must be 1 or 2 (angle optimization supports depth <= 2), got {self.d}")
 
     def to_json(self) -> dict:
         data = asdict(self)

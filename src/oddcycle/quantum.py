@@ -17,6 +17,7 @@ reported probability is the exact Born value of that product strategy.
 from __future__ import annotations
 
 import cmath
+import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -215,13 +216,38 @@ _GRID = np.linspace(0.0, 2 * math.pi, 256, endpoint=False)
 _RING = np.r_[_GRID[-1], _GRID, _GRID[0]]
 _RING_BASIS = np.stack([np.cos(_RING), -np.sin(_RING), np.cos(2 * _RING), -np.sin(2 * _RING)], axis=1)
 NEWTON_STEPS = 3
+SINGLE_PEAK_STEPS = 8
+
+
+def _newton(z1: complex, z2: complex, a: float, steps: int) -> tuple:
+    """Up to `steps` Newton steps on g'(a) = -Im(z1 e^{ia}) - 2 Im(z2 e^{2ia})
+    from a, taken while g''(a) < 0; returns the angle and whether a step
+    fell below 1e-12."""
+    for _ in range(steps):
+        e = cmath.exp(1j * a)
+        u1, u2 = z1 * e, z2 * e * e
+        curvature = -u1.real - 4.0 * u2.real
+        if not curvature < 0.0:
+            break
+        step = (u1.imag + 2.0 * u2.imag) / curvature
+        a += step
+        if abs(step) < 1e-12:
+            return a, True
+    return a, False
 
 
 def _maximize_profile(z1: complex, z2: complex) -> float:
-    """Angle a maximizing g(a) = Re(z1 e^{ia}) + Re(z2 e^{2ia}), which has
-    at most two local maxima: the best two circular peaks of the 256-point
-    grid (the second only if it can still win) are polished by Newton steps
-    on g'(a) = -Im(z1 e^{ia}) - 2 Im(z2 e^{2ia}), taken while g''(a) < 0."""
+    """Angle a maximizing g(a) = Re(z1 e^{ia}) + Re(z2 e^{2ia}).
+
+    When |z1| > 4|z2|, arg(z1 e^{ia} + 2 z2 e^{2ia}) strictly increases, so
+    g has one maximum; for 8|z2| <= |z1| Newton steps from -arg(z1) find it.
+    Otherwise, or if those steps do not settle, g has at most two local
+    maxima: the best two circular peaks of the 256-point grid (the second
+    only if it can still win) are polished by Newton steps."""
+    if 8.0 * abs(z2) <= abs(z1):
+        a, settled = _newton(z1, z2, -cmath.phase(z1), SINGLE_PEAK_STEPS)
+        if settled:
+            return a
     ring = _RING_BASIS @ np.array((z1.real, z1.imag, z2.real, z2.imag))
     values = ring[1:-1]
     peaks = ((values > ring[:-2]) & (values >= ring[2:])).nonzero()[0]
@@ -231,25 +257,26 @@ def _maximize_profile(z1: complex, z2: complex) -> float:
     for value, i in sorted(zip(values[peaks].tolist(), peaks.tolist()), reverse=True)[:2]:
         if value + grid_error < best[0]:
             break
-        a = float(_GRID[i])
-        for _ in range(NEWTON_STEPS):
-            u1, u2 = z1 * cmath.exp(1j * a), z2 * cmath.exp(2j * a)
-            curvature = -u1.real - 4.0 * u2.real
-            if not curvature < 0.0:
-                break
-            a += (u1.imag + 2.0 * u2.imag) / curvature
+        a = _newton(z1, z2, float(_GRID[i]), NEWTON_STEPS)[0]
         polished = (z1 * cmath.exp(1j * a) + z2 * cmath.exp(2j * a)).real
         best = max(best, (value, float(_GRID[i])), (polished, a))
     return best[1]
 
 
 class _AngleProblem:
-    """The angle objective on index arrays: term t has normalised weight
-    W[t] and per coordinate j a leg with Alice key index legs[0][t, j], Bob
-    key index legs[1][t, j] and sign E[t, j] (+1 for target bit 0, else -1);
-    the objective is sum_t W[t] prod_j (1 + E[t, j] cos(alpha + beta))/2.
-    Angles enter as unit phasors.  touch[side][k] gathers once the terms
-    angle k of that side touches, split by how many legs sit on it."""
+    """The angle objective sum_t W[t] prod_j (1 + E[t, j] cos(alpha + beta))/2
+    (W normalised, E[t, j] = +1 for target bit 0, else -1) as a quadratic
+    form.  Edge e is a distinct (Alice key index, Bob key index) leg pair,
+    ends[side][e], with r[e] = cos(alpha + beta) = Re(pa pb) for the unit
+    phasors of its two angles; for depth <= 2 the objective is
+    c + b.r + r.Q.r, where each leg adds W E / 2^depth to b and a two-leg
+    term adds W E0 E1 / 8 to Q at (e0, e1) and at (e1, e0).
+
+    touch[side][k] holds, as Python lists, what angle k of that side needs:
+    its incident edges, each edge's partner key index, b on them, their
+    nonzero 2Q entries against the other edges, and their Q block as
+    (i, j, coefficient) for i <= j, with Q/2 on the diagonal and Q above it
+    (the coefficients of z2 in profile())."""
 
     def __init__(self, game: GameSpec, restrict_pairs=None):
         if game.depth > 2:
@@ -262,53 +289,86 @@ class _AngleProblem:
                 raise QuantumError("no surviving question pairs to optimize over")
         questions = ([qa for (qa, _, _), _ in pairs], [qb for (_, qb, _), _ in pairs])
         self.keys = tuple(sorted({x for q in qs for x in q}) for qs in questions)
-        self.legs = tuple(
-            np.array([[keys.index(x) for x in q] for q in qs], dtype=np.intp)
-            for keys, qs in zip(self.keys, questions)
-        )
-        self.E = np.array([[1.0 - 2.0 * ((t >> i) & 1) for i in range(game.depth)] for _, t in pairs])
+        index = [{x: i for i, x in enumerate(ks)} for ks in self.keys]
+        depth = game.depth
         total_w = sum(float(w) for (_, _, w), _ in pairs)
-        self.W = np.array([float(w) / total_w for (_, _, w), _ in pairs])
-        self.touch = [[self._gather(side, k) for k in range(len(ks))] for side, ks in enumerate(self.keys)]
+        edges: dict = {}
+        b = collections.defaultdict(float)
+        Q = collections.defaultdict(float)
+        self.c = 0.0
+        for (qa, qb, w), t in pairs:
+            w = float(w) / total_w
+            self.c += 0.5**depth * w
+            legs = []
+            for j in range(depth):
+                e = edges.setdefault((index[0][qa[j]], index[1][qb[j]]), len(edges))
+                sign = 1.0 - 2.0 * ((t >> j) & 1)
+                b[e] += 0.5**depth * w * sign
+                legs.append((e, sign))
+            if depth == 2:
+                (e0, s0), (e1, s1) = legs
+                for key in ((e0, e1), (e1, e0)):
+                    Q[key] += 0.125 * w * s0 * s1
+        self.ends = tuple(zip(*edges))
+        self.b = np.array([b[e] for e in range(len(edges))])
+        self.Q = np.zeros((len(edges), len(edges)))
+        for (e, f), q in Q.items():
+            self.Q[e, f] = q
+        self.touch = [
+            [self._tables(side, k, Q) for k in range(len(ks))] for side, ks in enumerate(self.keys)
+        ]
 
-    def _gather(self, side: int, k: int) -> tuple:
-        """Per-angle constants for update().  At depth 1 `other` points back at
-        the term's only leg, and its sign factor depth - 1 = 0 makes it 1."""
-        W, E, legs = self.W, self.E, self.legs
-        depth = E.shape[1]
-        mine = legs[side] == k
-        one = np.flatnonzero(mine.sum(axis=1) == 1)
-        two = np.flatnonzero(mine.sum(axis=1) == 2)
-        col = mine[one].argmax(axis=1)
-        other = (1 - col) % depth
-        w2, e2, p2 = W[two], E[two], legs[1 - side][two]
-        return (
-            0.5**depth * W[one] * E[one, col],
-            legs[0][one, other],
-            legs[1][one, other],
-            (depth - 1) * E[one, other],
-            np.concatenate([legs[1 - side][one, col], p2[:, 0], p2[:, -1]]),
-            one.size,
-            np.concatenate([0.25 * w2 * e2[:, 0], 0.25 * w2 * e2[:, -1]]),
-            0.125 * w2 * e2.prod(axis=1),
-        )
+    def _tables(self, side: int, k: int, Q: dict) -> tuple:
+        inc = [e for e, end in enumerate(self.ends[side]) if end == k]
+        local = {e: i for i, e in enumerate(inc)}
+        rows = [[] for _ in inc]
+        block = []
+        for (e, f), q in sorted(Q.items()):
+            if e not in local:
+                continue
+            if f not in local:
+                rows[local[e]].append((f, 2.0 * q))
+            elif e <= f:
+                block.append((local[e], local[f], q if e < f else 0.5 * q))
+        partner = [self.ends[1 - side][e] for e in inc]
+        return inc, partner, self.b[inc].tolist(), rows, block
 
-    def objective(self, phase) -> float:
-        legs = 0.5 * (1.0 + self.E * (phase[0][self.legs[0]] * phase[1][self.legs[1]]).real)
-        return float(self.W @ legs.prod(axis=1))
+    def edge_values(self, phase) -> list:
+        """r[e] = Re(pa pb) for the phasor lists phase[0] (Alice), phase[1] (Bob)."""
+        return [(phase[0][i] * phase[1][j]).real for i, j in zip(*self.ends)]
 
-    def update(self, phase, side: int, k: int) -> float:
-        """Best angle k of one side, all others fixed.  In that angle a the
-        objective is a0 + Re(z1 e^{ia}) + Re(z2 e^{2ia}): a one-leg term with
-        partner phasor o adds W e o/2, times its other leg's factor, to z1; a
-        two-leg term with partner phasors o1, o2 adds W (e1 o1 + e2 o2)/4 to
-        z1 and W e1 e2 o1 o2/8 to z2.  The constant a0 is not needed."""
-        w1, rest_a, rest_b, rest_e, partners, n1, w12, w2 = self.touch[side][k]
-        o = phase[1 - side][partners]
-        scale = w1 * (1.0 + rest_e * (phase[0][rest_a] * phase[1][rest_b]).real)
-        z1 = o[:n1].dot(scale) + o[n1:].dot(w12)
-        z2 = (o[n1 : n1 + w2.size] * o[n1 + w2.size :]).dot(w2)
-        return _maximize_profile(complex(z1), complex(z2))
+    def objective(self, r) -> float:
+        r = np.array(r)
+        return float(self.c + r.dot(self.b + self.Q.dot(r)))
+
+    def profile(self, phase, r, side: int, k: int) -> tuple:
+        """(z1, z2) such that, with every other angle fixed, the objective in
+        angle k of one side is a constant plus Re(z1 e^{ia}) + Re(z2 e^{2ia}):
+        with p the partner phasors of the incident edges,
+        z1 = sum_e p_e (b_e + sum_f 2 Q_ef r_f) over the other edges f, and
+        z2 = sum_{e,e'} Q_ee' p_e p_e' / 2."""
+        _, partner, b, rows, block = self.touch[side][k]
+        other = phase[1 - side]
+        p = [other[j] for j in partner]
+        z1 = 0j
+        for pe, h, row in zip(p, b, rows):
+            for f, q in row:
+                h += q * r[f]
+            z1 += pe * h
+        z2 = 0j
+        for i, j, q in block:
+            z2 += q * p[i] * p[j]
+        return z1, z2
+
+    def update(self, phase, r, side: int, k: int) -> float:
+        """Set angle k of one side to its best value with all others fixed,
+        writing its phasor into phase and its edges into r; returns it."""
+        a = _maximize_profile(*self.profile(phase, r, side, k))
+        phase[side][k] = w = cmath.exp(1j * a)
+        tables, other = self.touch[side][k], phase[1 - side]
+        for e, j in zip(tables[0], tables[1]):
+            r[e] = (w * other[j]).real
+        return a
 
 
 def optimize_angles(
@@ -327,27 +387,27 @@ def optimize_angles(
     keys = problem.keys
     rng = np.random.default_rng(seed)
     start_list = [
-        tuple(np.array([table.get(q, 0.0) for q in ks], dtype=float) for table, ks in zip(init, keys))
+        tuple([float(table.get(q, 0.0)) for q in ks] for table, ks in zip(init, keys))
         for init in inits or []
     ]
     while len(start_list) < starts:
-        start_list.append(tuple(rng.uniform(0, 2 * math.pi, len(ks)) for ks in keys))
+        start_list.append(tuple(rng.uniform(0, 2 * math.pi, len(ks)).tolist() for ks in keys))
     best_value, best_angles = -1.0, None
     for start in start_list:
-        angles = [a.copy() for a in start]
-        phase = [np.exp(1j * a) for a in angles]
-        value = problem.objective(phase)
+        angles = [list(a) for a in start]
+        phase = [[cmath.exp(1j * x) for x in a] for a in angles]
+        r = problem.edge_values(phase)
+        value = problem.objective(r)
         for _ in range(sweeps):
             for side in (0, 1):
                 for k in range(len(keys[side])):
-                    angles[side][k] = a = problem.update(phase, side, k)
-                    phase[side][k] = cmath.exp(1j * a)
-            value, previous = problem.objective(phase), value
+                    angles[side][k] = problem.update(phase, r, side, k)
+            value, previous = problem.objective(r), value
             if value - previous < tol:
                 break
         if value > best_value:
             best_value, best_angles = value, angles
-    tables = (dict(zip(ks, a.tolist())) for ks, a in zip(keys, best_angles))
+    tables = (dict(zip(ks, a)) for ks, a in zip(keys, best_angles))
     strategy = QubitStrategy(bell_phase_state(0.0), *tables)
     return {"value": float(best_value), "strategy": strategy, "starts": len(start_list)}
 

@@ -154,3 +154,21 @@ def born_win_probability(theta, alpha, beta, target_bit, flip_a=0, flip_b=0, con
     beta_eff = -beta if conjugate_bob else beta
     t_eff = target_bit ^ flip_a ^ flip_b
     return 0.5 * (1.0 + (-1) ** t_eff * math.cos(theta - alpha + beta_eff))
+
+
+def angle_objective(game, alice, bob, restrict_pairs=None):
+    """sum_t w_t prod_j (1 + e_tj cos(alpha + beta))/2 over the kept
+    question pairs, renormalised by their total weight, with e_tj = +1 for
+    target bit 0 and -1 otherwise; one pair and coordinate at a time."""
+    keep = None if restrict_pairs is None else set(restrict_pairs)
+    total = weight = 0.0
+    for (qa, qb, w), t in zip(game.pairs, game.targets):
+        if keep is not None and (qa, qb) not in keep:
+            continue
+        term = float(w)
+        for j in range(game.depth):
+            sign = -1.0 if (t >> j) & 1 else 1.0
+            term *= (1.0 + sign * math.cos(alice[qa[j]] + bob[qb[j]])) / 2.0
+        total += term
+        weight += float(w)
+    return total / weight

@@ -4,7 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import oddcycle
+from oddcycle import cli
 from oddcycle.cli import main
 from oddcycle.serialize import dumps
 
@@ -144,6 +147,17 @@ def test_experiment_csv_and_byte_identical_reruns(tmp_path, capsys):
     csv_text = (out_a / "sweep-n3.csv").read_text().splitlines()
     assert csv_text[0] == "theta,ratio,phat,halfwidth"
     assert len(csv_text) == 7  # six grid points
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--samples", "0"], ["--samples", "-1"], ["--epsilon", "1.5"], ["--theta-grid", "0,-1"]],
+    ids=["samples-0", "samples-negative", "epsilon-above-1", "theta-grid-nonpositive"],
+)
+def test_experiment_rejects_bad_config_before_any_work(flags, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "estimate_events", lambda *a, **k: pytest.fail("estimate_events ran"))
+    assert main(["experiment", "--n-values", "3", *flags, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_report_round_trips_through_json(tmp_path, capsys):

@@ -308,6 +308,28 @@ def test_report_surface_fields():
     assert any("scale" in note for note in data["scale_notes"])
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"samples": 0},
+        {"epsilon2": 0.0},
+        {"epsilon3": 1.0},
+        {"theta_grid": ()},
+        {"theta_grid": (0.1, 0.0)},
+        {"removal_law": {"kind": "uniform"}},
+        {"removal_law": {"kind": "uniform-size"}},
+        {"removal_law": {"kind": "uniform-edge-fraction", "low": 0.4}},
+        {"tube_width": 0},
+        {"tube_width": 4},
+        {"n_values": ()},
+        {"d": 3},
+    ],
+)
+def test_experiment_config_rejects_bad_values(bad):
+    with pytest.raises(ExperimentError):
+        ExperimentConfig(**{"n_values": (3, 5), **bad})
+
+
 def test_archived_ratio_distribution():
     # regression fixture: first per-sample ratios at n=3, seed 42
     fixture = json.loads((DATA / "ratio_distribution_n3.json").read_text())

@@ -11,6 +11,7 @@ from oddcycle.quantum import (
     MeasurementBasis,
     QuantumError,
     QubitStrategy,
+    _AngleProblem,
     _maximize_profile,
     bell_phase_state,
     bias_and_approximality,
@@ -21,7 +22,7 @@ from oddcycle.quantum import (
     xor_error_functional,
 )
 
-from oracles import born_win_probability
+from oracles import angle_objective, born_win_probability
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -286,6 +287,45 @@ def test_optimize_angles_value_is_born_value_of_its_strategy(game):
     assert abs(result["value"] - win_probability(game, result["strategy"])) < 1e-12
 
 
+def _surviving_pairs(game, rng):
+    pairs = sorted({(qa, qb) for qa, qb, _ in game.pairs})
+    return [pairs[i] for i in sorted(rng.choice(len(pairs), size=(len(pairs) + 1) // 2, replace=False))]
+
+
+@pytest.mark.parametrize(
+    "game, restricted",
+    [(make_odd_cycle_game(n, d), restricted) for n in (3, 5) for d in (1, 2) for restricted in (False, True)]
+    + [(make_chsh_game(1), False), (make_chsh_game(2), False)],
+    ids=[f"odd-cycle-n{n}-d{d}-{kind}" for n in (3, 5) for d in (1, 2) for kind in ("full", "restricted")]
+    + ["chsh-d1", "chsh-d2"],
+)
+def test_angle_objective_and_profile_match_oracle(game, restricted):
+    rng = np.random.default_rng(17)
+    keep = _surviving_pairs(game, rng) if restricted else None
+    problem = _AngleProblem(game, keep)
+
+    def oracle(angles):
+        return angle_objective(game, *(dict(zip(ks, a)) for ks, a in zip(problem.keys, angles)), keep)
+
+    for _ in range(4):
+        angles = [rng.uniform(0, 2 * math.pi, len(ks)).tolist() for ks in problem.keys]
+        phase = [[cmath.exp(1j * a) for a in side] for side in angles]
+        r = problem.edge_values(phase)
+        assert abs(problem.objective(r) - oracle(angles)) < 1e-12
+    # in every angle, g(a) - g(a') from the kernel's (z1, z2) is the objective difference
+    for side, ks in enumerate(problem.keys):
+        for k in range(len(ks)):
+            z1, z2 = problem.profile(phase, r, side, k)
+            a, a2 = rng.uniform(0, 2 * math.pi, 2)
+            moved = [list(angles[0]), list(angles[1])]
+            values = []
+            for x in (a, a2):
+                moved[side][k] = x
+                values.append(oracle(moved))
+            g = [(z1 * cmath.exp(1j * x) + z2 * cmath.exp(2j * x)).real for x in (a, a2)]
+            assert abs((g[0] - g[1]) - (values[0] - values[1])) < 1e-12
+
+
 FINE_GRID = np.linspace(0.0, 2 * math.pi, 65536, endpoint=False)
 COEFFICIENT = st.builds(complex, st.floats(-1, 1), st.floats(-1, 1))
 
@@ -297,6 +337,18 @@ COEFFICIENT = st.builds(complex, st.floats(-1, 1), st.floats(-1, 1))
 )
 # two nearly equal maxima, where the best grid peak is not the best maximum
 @example(z1=0.001 + 0.001j, z2=0.013 - 0.66j, z1_scale=1.0)
+# the single-peak Newton branch: z2 = 0, and |z2|/|z1| just below 1/8 at three relative phases
+@example(z1=0.3 - 0.7j, z2=0j, z1_scale=1.0)
+@example(z1=cmath.rect(0.8, 0.3), z2=cmath.rect(0.1 - 1e-10, 0.6), z1_scale=1.0)
+@example(z1=cmath.rect(0.8, 0.3), z2=cmath.rect(0.1 - 1e-10, 0.6 + math.pi / 2), z1_scale=1.0)
+@example(z1=cmath.rect(0.8, 0.3), z2=cmath.rect(0.1 - 1e-10, 0.6 + math.pi), z1_scale=1.0)
+# the grid branch: |z2|/|z1| just above 1/8 at the same phases, and z1 = 0
+@example(z1=cmath.rect(0.8, 0.3), z2=cmath.rect(0.1 + 1e-10, 0.6), z1_scale=1.0)
+@example(z1=cmath.rect(0.8, 0.3), z2=cmath.rect(0.1 + 1e-10, 0.6 + math.pi / 2), z1_scale=1.0)
+@example(z1=cmath.rect(0.8, 0.3), z2=cmath.rect(0.1 + 1e-10, 0.6 + math.pi), z1_scale=1.0)
+@example(z1=0j, z2=0.4 + 0.3j, z1_scale=1.0)
+# |z2|/|z1| = 0.48, where Newton steps from -arg(z1) settle on the lower of two maxima
+@example(z1=1 + 0j, z2=cmath.rect(0.48, 2.111848394913139), z1_scale=1.0)
 def test_maximize_profile_beats_fine_grid(z1, z2, z1_scale):
     z1 *= z1_scale
 
