@@ -23,6 +23,7 @@ from .quantum import (
     canonical_odd_cycle_strategy,
     expectation,
     optimize_angles,
+    optimize_restrictions,
     win_probability,
     xor_error_functional,
 )

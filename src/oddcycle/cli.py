@@ -315,7 +315,7 @@ def _cmd_experiment(args) -> tuple:
         keep_per_sample=args.per_sample,
         **grid,
     )
-    report = estimate_events(config, threads=args.threads)
+    report = estimate_events(config)
     payload = report.to_json()
     payload["schema"] = "oddcycle.experiment/1"
     return payload, report.sweep_rows()
@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None, help="accepted; every command runs on one thread")
         p.add_argument("--format", choices=("json", "csv"), default=None)
 
     p = sub.add_parser("value", help="classical game values")
@@ -422,7 +422,7 @@ def _apply_config(args):
         return default
 
     args.seed = int(pick("seed", 0))
-    args.threads = int(pick("threads", os.cpu_count() or 1))
+    args.threads = int(pick("threads", 1))
     args.format = pick("format", "json")
     default_out = os.environ.get("ODDCYCLE_OUT", "reports")
     args.out = Path(pick("out", default_out))

@@ -11,14 +11,14 @@ squares the base values; the repeated classical reference uses the product
 witness bound (exact repeated values are beyond any exhaustive budget).
 
 Every sample draws its own generator from the master seed by a counter
-split, so results are independent of worker scheduling and bitwise
-reproducible for a fixed config.
+split, so results are bitwise reproducible for a fixed config and do not
+depend on which other samples share an optimisation batch.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 from itertools import combinations, product
@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .games import classical_value_exact, classical_value_search, make_odd_cycle_game
-from .quantum import canonical_odd_cycle_strategy, optimize_angles
+from .quantum import canonical_odd_cycle_strategy, optimize_angles, optimize_restrictions
 from .torus import (
     BudgetExceeded,
     RegionSet,
@@ -89,18 +89,22 @@ class ContractionMap:
         return Fraction(self.preimage_count, self.image_count)
 
 
-def contraction_map(g: TorusGraph) -> ContractionMap:
-    n, d = g.n, g.d
-    surviving = []
-    total = 0
+@functools.lru_cache(maxsize=64)
+def _elementary_paths(n: int, d: int) -> tuple:
+    """(path edges, question pair (u, u+t)) for every u in [n]^d and t in
+    {0,1}^d; samples of one shape share these pair tuples."""
+    paths = []
     for u in product(range(n), repeat=d):
         for t_bits in product((0, 1), repeat=d):
-            total += 1
-            edges = elementary_path_edges(u, t_bits, n)
-            if all(e not in g.removed for e in edges):
-                qb = tuple((c + b) % n for c, b in zip(u, t_bits))
-                surviving.append((u, qb))
-    return ContractionMap(g, tuple(surviving), total)
+            qb = tuple((c + b) % n for c, b in zip(u, t_bits))
+            paths.append((tuple(elementary_path_edges(u, t_bits, n)), (u, qb)))
+    return tuple(paths)
+
+
+def contraction_map(g: TorusGraph) -> ContractionMap:
+    paths = _elementary_paths(g.n, g.d)
+    surviving = tuple(pair for edges, pair in paths if g.removed.isdisjoint(edges))
+    return ContractionMap(g, surviving, len(paths))
 
 
 def classify_count_ratio(ratio: float, low: float, high: float) -> int:
@@ -199,32 +203,39 @@ def restricted_values(
     value and classical reference may be passed in when cached."""
     if g.n != base_n or g.d != d:
         raise ExperimentError("graph shape does not match the requested game")
-    game = make_odd_cycle_game(base_n, d)
     if contraction is None:
         contraction = contraction_map(g)
     if contraction.image_count == 0:
         return {"degenerate": True, "contraction": contraction}
-    canonical = canonical_odd_cycle_strategy(base_n)
-    init = (dict(canonical.alice_angles), dict(canonical.bob_angles))
     if full_value is None:
-        full_value = optimize_angles(game, seed=seed, starts=starts, sweeps=sweeps, inits=[init])["value"]
-    restricted = optimize_angles(
-        game,
-        seed=seed,
-        starts=starts,
-        sweeps=sweeps,
-        restrict_pairs=set(contraction.surviving),
-        inits=[init],
-    )["value"]
+        game, inits = _canonical_problem(base_n, d)
+        full_value = optimize_angles(game, seed=seed, starts=starts, sweeps=sweeps, inits=inits)["value"]
+    (restricted,) = _restricted_optima(base_n, d, [contraction], [seed], starts, sweeps)
     if classical_ref is None:
         classical_ref = classical_reference(base_n, d)["value"]
     return {
         "degenerate": False,
         "q_full": float(full_value),
-        "q_restricted": float(restricted),
+        "q_restricted": restricted,
         "classical_ref": classical_ref,
         "contraction": contraction,
     }
+
+
+def _canonical_problem(n: int, d: int) -> tuple:
+    """The depth-d odd-cycle game and the canonical angle tables as the one
+    init of its optimisations."""
+    canonical = canonical_odd_cycle_strategy(n)
+    return make_odd_cycle_game(n, d), [(dict(canonical.alice_angles), dict(canonical.bob_angles))]
+
+
+def _restricted_optima(n: int, d: int, contractions: list, seeds: list, starts: int, sweeps: int) -> list:
+    """Angle-optimised values of the subgames surviving each contraction,
+    restriction i seeded by seeds[i], all in one optimize_restrictions call."""
+    game, inits = _canonical_problem(n, d)
+    restrictions = [set(c.surviving) for c in contractions]
+    results = optimize_restrictions(game, restrictions, seeds, starts=starts, sweeps=sweeps, inits=inits)
+    return [float(r["value"]) for r in results]
 
 
 def classical_reference(n: int, d: int, seed: int = 0, iterations: int = 60_000) -> dict:
@@ -362,7 +373,11 @@ class ExperimentConfig:
         needs = REMOVAL_LAWS.get(self.removal_law.get("kind"))
         if needs is None or not all(key in self.removal_law for key in needs):
             raise ExperimentError(f"unknown removal law {self.removal_law!r}")
-        if not self.n_values or not 1 <= self.tube_width <= min(self.n_values):
+        if not self.n_values or len(set(self.n_values)) != len(self.n_values):
+            raise ExperimentError(f"n_values must be nonempty and distinct, got {list(self.n_values)}")
+        if not all(n >= 3 and n % 2 for n in self.n_values):
+            raise ExperimentError(f"every n must be odd and at least 3, got {list(self.n_values)}")
+        if not 1 <= self.tube_width <= min(self.n_values):
             raise ExperimentError(
                 f"tube_width {self.tube_width} outside [1, min(n_values)] for n_values {list(self.n_values)}"
             )
@@ -388,7 +403,9 @@ def _sample_rng(seed: int, n: int, index: int):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(n, index)))
 
 
-def _run_sample(config: ExperimentConfig, n: int, index: int, cache: dict) -> dict:
+def _draw_sample(config: ExperimentConfig, n: int, index: int) -> dict:
+    """A sample's torical graph, its contraction and the seed of its
+    restricted optimisation, drawn in that order from its own generator."""
     rng = _sample_rng(config.seed, n, index)
     sample = sample_torical_graph(n, config.d, config.removal_law, rng)
     g = sample["graph"]
@@ -400,28 +417,23 @@ def _run_sample(config: ExperimentConfig, n: int, index: int, cache: dict) -> di
         "removal_size": len(g.removed),
         "image": contraction.image_count,
         "preimage": contraction.preimage_count,
+        "degenerate": contraction.image_count == 0,
     }
-    if contraction.image_count == 0:
-        record["degenerate"] = True
-        return record
-    record["degenerate"] = False
-    ratio_counts = float(contraction.count_ratio)
-    record["count_ratio"] = ratio_counts
-    record["possibility"] = classify_count_ratio(ratio_counts, config.ratio_low, config.ratio_high)
-    values = restricted_values(
-        g,
-        n,
-        config.d,
-        classical_ref=cache["classical_ref"],
-        full_value=cache["q_full"],
-        seed=int(rng.integers(0, 2**31)),
-        starts=config.opt_starts,
-        sweeps=config.opt_sweeps,
-        contraction=contraction,
-    )
-    q_f = values["q_full"]
-    q_r = values["q_restricted"]
-    cref = float(values["classical_ref"])
+    drawn = {"record": record, "graph": g, "contraction": contraction}
+    if not record["degenerate"]:
+        ratio_counts = float(contraction.count_ratio)
+        record["count_ratio"] = ratio_counts
+        record["possibility"] = classify_count_ratio(ratio_counts, config.ratio_low, config.ratio_high)
+        drawn["seed"] = int(rng.integers(0, 2**31))
+    return drawn
+
+
+def _finish_sample(config: ExperimentConfig, drawn: dict, q_r: float, cache: dict) -> dict:
+    """The ratios, events and prefactors of a non-degenerate sample whose
+    restricted value is q_r."""
+    record, g, contraction = drawn["record"], drawn["graph"], drawn["contraction"]
+    q_f = cache["q_full"]
+    cref = float(cache["classical_ref"])
     ratios = ratio_variants(q_r, q_f, cref)
     record["q_full"] = q_f
     record["q_restricted"] = q_r
@@ -491,23 +503,32 @@ class ExperimentReport:
         return rows
 
 
-def estimate_events(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
+def estimate_events(config: ExperimentConfig) -> ExperimentReport:
     """Monte Carlo over sampled torical graphs: events E1/E2 (both ratio
     variants), the decay-theorem event, the threshold sweep, possibility
     frequencies, prefactors, and the foam-event probability.  Bitwise
-    reproducible for a fixed config; thread count never changes results."""
+    reproducible for a fixed config.
+
+    Per n, every sample is drawn first, then the restricted optimisations
+    of the non-degenerate ones run as one batch, then each sample's ratios
+    and events are computed."""
     per_n = {}
     all_samples = []
     for n in config.n_values:
         game_cache = _per_n_cache(config, n)
-        indices = list(range(config.samples))
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                records = list(
-                    pool.map(lambda i: _run_sample(config, n, i, game_cache), indices)
-                )
-        else:
-            records = [_run_sample(config, n, i, game_cache) for i in indices]
+        drawn = [_draw_sample(config, n, i) for i in range(config.samples)]
+        live = [s for s in drawn if not s["record"]["degenerate"]]
+        optima = _restricted_optima(
+            n,
+            config.d,
+            [s["contraction"] for s in live],
+            [s["seed"] for s in live],
+            config.opt_starts,
+            config.opt_sweeps,
+        )
+        for s, q_r in zip(live, optima):
+            _finish_sample(config, s, q_r, game_cache)
+        records = [s["record"] for s in drawn]
         used = [r for r in records if not r["degenerate"]]
         excluded = [r for r in records if r["degenerate"]]
         if len(used) + len(excluded) != config.samples:
@@ -583,11 +604,9 @@ def estimate_events(config: ExperimentConfig, threads: int = 1) -> ExperimentRep
 
 
 def _per_n_cache(config: ExperimentConfig, n: int) -> dict:
-    game = make_odd_cycle_game(n, config.d)
-    canonical = canonical_odd_cycle_strategy(n)
-    init = (dict(canonical.alice_angles), dict(canonical.bob_angles))
+    game, inits = _canonical_problem(n, config.d)
     q_full = optimize_angles(
-        game, seed=config.seed, starts=config.opt_starts, sweeps=config.opt_sweeps, inits=[init]
+        game, seed=config.seed, starts=config.opt_starts, sweeps=config.opt_sweeps, inits=inits
     )["value"]
     ref = classical_reference(
         n, config.d, seed=config.seed, iterations=config.classical_search_iterations

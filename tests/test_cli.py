@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oddcycle
 from oddcycle import cli
@@ -149,10 +151,21 @@ def test_experiment_csv_and_byte_identical_reruns(tmp_path, capsys):
     assert len(csv_text) == 7  # six grid points
 
 
+def test_experiment_report_bytes_do_not_depend_on_threads(tmp_path, capsys):
+    args = ["experiment", "--n-values", "3", "--samples", "8", "--seed", "4", "--per-sample"]
+    reports = []
+    for threads in ("1", "3"):
+        out = tmp_path / threads
+        assert main(args + ["--threads", threads, "--out", str(out)]) == 0
+        capsys.readouterr()
+        reports.append((out / "experiment-report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize(
     "flags",
-    [["--samples", "0"], ["--samples", "-1"], ["--epsilon", "1.5"], ["--theta-grid", "0,-1"]],
-    ids=["samples-0", "samples-negative", "epsilon-above-1", "theta-grid-nonpositive"],
+    [["--samples", "0"], ["--samples", "-1"], ["--epsilon", "1.5"], ["--theta-grid", "0,-1"], ["--n-values", "3,4"]],
+    ids=["samples-0", "samples-negative", "epsilon-above-1", "theta-grid-nonpositive", "n-values-even"],
 )
 def test_experiment_rejects_bad_config_before_any_work(flags, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "estimate_events", lambda *a, **k: pytest.fail("estimate_events ran"))
@@ -166,6 +179,20 @@ def test_report_round_trips_through_json(tmp_path, capsys):
     text = (tmp_path / "value-report.json").read_text()
     parsed = json.loads(text)
     assert dumps(parsed, indent=2) + "\n" == text
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(JSON_VALUES)
+def test_dumps_round_trips_through_json_loads(value):
+    # strings keep every escape, floats come back exactly from 17 digits
+    assert json.loads(dumps(value)) == value
+    assert json.loads(dumps(value, indent=2)) == value
 
 
 def test_config_file_precedence(tmp_path, capsys):

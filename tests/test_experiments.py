@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddcycle.experiments import (
     ExperimentConfig,
@@ -30,6 +32,7 @@ from oddcycle.torus import (
     TorusGraph,
     make_section,
     make_tube,
+    torus_edges,
     transverse_cut_blocker,
     verify_blocker,
 )
@@ -70,6 +73,27 @@ def test_contraction_counts_against_direct_recount():
                 survivors += 1
     assert cm.image_count == survivors == 25
     assert cm.image_count < cm.preimage_count  # strict, per the cut fixture
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 5), d=st.integers(1, 3), data=st.data())
+def test_contraction_counts_against_recount_on_random_removals(n, d, data):
+    removed = frozenset(data.draw(st.sets(st.sampled_from(torus_edges(n, d)))))
+    cm = contraction_map(TorusGraph(n, d, removed))
+    # recount: step along each axis whose offset bit is set, in axis order
+    survivors = []
+    for u in product(range(n), repeat=d):
+        for t in product((0, 1), repeat=d):
+            cur, blocked = list(u), False
+            for axis in range(d):
+                if t[axis]:
+                    blocked = blocked or (tuple(cur), axis) in removed
+                    cur[axis] = (cur[axis] + 1) % n
+            if not blocked:
+                survivors.append((u, tuple(cur)))
+    assert cm.preimage_count == (2 * n) ** d
+    assert cm.image_count == len(survivors)
+    assert sorted(cm.surviving) == sorted(survivors)
 
 
 def test_count_ratio_at_least_one():
@@ -244,13 +268,6 @@ def test_estimate_events_reproducible_and_conserved():
     assert all(a >= b for a, b in zip(sweep, sweep[1:]))  # grid is sorted ascending
 
 
-def test_estimate_events_thread_invariance():
-    cfg = small_config(seed=4)
-    seq = estimate_events(cfg, threads=1)
-    par = estimate_events(cfg, threads=3)
-    assert dumps(seq.to_json()) == dumps(par.to_json())
-
-
 def test_estimate_events_possibility_four_never():
     cfg = small_config(seed=2)
     rep = estimate_events(cfg)
@@ -323,6 +340,9 @@ def test_report_surface_fields():
         {"tube_width": 4},
         {"n_values": ()},
         {"d": 3},
+        {"n_values": (3, 4)},
+        {"n_values": (1,)},
+        {"n_values": (3, 3)},
     ],
 )
 def test_experiment_config_rejects_bad_values(bad):

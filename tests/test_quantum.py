@@ -6,11 +6,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from oddcycle import quantum
 from oddcycle.games import make_chsh_game, make_odd_cycle_game
 from oddcycle.quantum import (
     MeasurementBasis,
     QuantumError,
     QubitStrategy,
+    _AngleBatch,
     _AngleProblem,
     _maximize_profile,
     bell_phase_state,
@@ -18,9 +20,11 @@ from oddcycle.quantum import (
     canonical_odd_cycle_strategy,
     expectation,
     optimize_angles,
+    optimize_restrictions,
     win_probability,
     xor_error_functional,
 )
+from oddcycle.experiments import ExperimentConfig, _sample_rng, contraction_map, sample_torical_graph
 
 from oracles import angle_objective, born_win_probability
 
@@ -357,6 +361,65 @@ def test_maximize_profile_beats_fine_grid(z1, z2, z1_scale):
 
     best = _maximize_profile(z1, z2)
     assert profile(np.array([best]))[0] >= profile(FINE_GRID).max() - 1e-12
+
+
+def _restrictions(n):
+    """Surviving pairs of seeded samples, random pair sets, the full game,
+    and sets that drop every pair asking Alice key 0 or Bob key 1."""
+    game = make_odd_cycle_game(n, 2)
+    law = ExperimentConfig().removal_law
+    cases = []
+    for index in range(6):
+        contraction = contraction_map(sample_torical_graph(n, 2, law, _sample_rng(42, n, index))["graph"])
+        if contraction.image_count:
+            cases.append(set(contraction.surviving))
+    rng = np.random.default_rng(n)
+    cases += [_surviving_pairs(game, rng) for _ in range(3)]
+    pairs = sorted({(qa, qb) for qa, qb, _ in game.pairs})
+    cases += [None, [p for p in pairs if 0 not in p[0]], [p for p in pairs if 1 not in p[1]]]
+    return game, cases
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("starts", [1, 4])
+# after 3 sweeps the starts still differ, so the choice of the best one shows
+@pytest.mark.parametrize("sweeps", [3, 200])
+def test_batched_restrictions_match_scalar_kernel(n, starts, sweeps):
+    game, cases = _restrictions(n)
+    canonical = canonical_odd_cycle_strategy(n)
+    inits = [(dict(canonical.alice_angles), dict(canonical.bob_angles))]
+    seeds = [101 + i for i in range(len(cases))]
+    batched = _AngleBatch(game, cases).optimize(seeds, starts, sweeps, 1e-12, inits)
+    for keep, seed, got in zip(cases, seeds, batched):
+        # fewer than BATCH_MIN_ROWS rows: optimize_angles runs the scalar kernel
+        scalar = optimize_angles(game, seed=seed, starts=starts, sweeps=sweeps, restrict_pairs=keep, inits=inits)
+        assert abs(got["value"] - scalar["value"]) < 1e-12
+        strategy = got["strategy"]
+        assert set(strategy.alice_angles) == set(scalar["strategy"].alice_angles)
+        assert set(strategy.bob_angles) == set(scalar["strategy"].bob_angles)
+        objective = angle_objective(game, strategy.alice_angles, strategy.bob_angles, keep)
+        assert abs(objective - got["value"]) < 1e-12
+    # a restriction's rows do not see the other restrictions of the batch
+    reverse = _AngleBatch(game, cases[::-1]).optimize(seeds[::-1], starts, sweeps, 1e-12, inits)
+    assert [r["value"] for r in reverse[::-1]] == [r["value"] for r in batched]
+
+
+def test_optimize_restrictions_routes_by_row_count(monkeypatch):
+    game, cases = _restrictions(3)
+    seeds = list(range(len(cases)))
+    assert 2 * 4 < quantum.BATCH_MIN_ROWS <= len(cases) * 4
+    with monkeypatch.context() as patched:
+        patched.setattr(quantum, "_optimize_one", lambda *a: pytest.fail("scalar kernel ran"))
+        batched = optimize_restrictions(game, cases, seeds, starts=4)
+    with monkeypatch.context() as patched:
+        patched.setattr(quantum, "_AngleBatch", lambda *a: pytest.fail("batch ran"))
+        scalar = optimize_restrictions(game, cases[:2], seeds[:2], starts=4)
+    for got, want in zip(batched, scalar):
+        assert abs(got["value"] - want["value"]) < 1e-12
+    with pytest.raises(QuantumError):
+        optimize_restrictions(game, cases, seeds[1:])
+    with pytest.raises(QuantumError):
+        optimize_restrictions(game, [[]] * 8, [0] * 8, starts=4)
 
 
 def test_optimize_angles_depth_cap():
