@@ -10,6 +10,7 @@ is the mode of ``S_A(x) XOR target(x, y)`` over the draws that reach y.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -94,14 +95,15 @@ class GameSpec:
         return self._fan_in
 
     def alice_fan_out(self) -> tuple:
-        """Per Alice question, the (bob_index, target) pairs of the draws it
-        feeds, read off ``bob_fan_in`` once per game."""
+        """Per Alice question, the Bob indices and XOR targets of the draws
+        it feeds, as two arrays read off ``bob_fan_in`` once per game.  A
+        Bob question appears at most once per Alice question, because the
+        support pairs are distinct."""
         if not hasattr(self, "_fan_out"):
             xs, ts = self.bob_fan_in()
-            edges = [[] for _ in self.alice_questions]
-            for (yi, j), x in np.ndenumerate(xs):
-                edges[x].append((yi, int(ts[yi, j])))
-            object.__setattr__(self, "_fan_out", tuple(tuple(e) for e in edges))
+            ys = np.arange(len(xs))[:, None].repeat(xs.shape[1], axis=1)
+            fan_out = tuple((ys[xs == x], ts[xs == x]) for x in range(len(self.alice_questions)))
+            object.__setattr__(self, "_fan_out", fan_out)
         return self._fan_out
 
     def uniform_support_weight(self) -> Fraction:
@@ -285,12 +287,14 @@ class ValueReport:
 
 
 def _bob_histograms(game: GameSpec, alice: np.ndarray) -> np.ndarray:
-    """counts[y, b]: the draws reaching Bob question y that answer b wins
-    against the Alice answers ``alice`` (indexed like alice_questions)."""
+    """counts[..., y, b]: the draws reaching Bob question y that answer b
+    wins against the Alice answers ``alice[..., x]`` (x indexed like
+    alice_questions).  Leading axes of ``alice`` hold independent tables."""
     xs, ts = game.bob_fan_in()
     k = game.answers_per_question
-    flat = (alice[xs] ^ ts) + k * np.arange(len(xs))[:, None]
-    return np.bincount(flat.ravel(), minlength=len(xs) * k).reshape(len(xs), k)
+    cells = np.arange(alice[..., 0].size * len(xs)).reshape(alice.shape[:-1] + (len(xs), 1))
+    flat = (alice[..., xs] ^ ts) + k * cells
+    return np.bincount(flat.ravel(), minlength=cells.size * k).reshape(cells.shape[:-1] + (k,))
 
 
 def _best_response_bob(game: GameSpec, alice_table: dict) -> tuple:
@@ -428,46 +432,96 @@ def _exact_alice_exhaustive(game: GameSpec) -> ValueReport:
     )
 
 
-class _SearchState:
-    """Incremental best-response bookkeeping for local search over Alice
-    tables: per-Bob-question answer counts, their running maxima, and per
-    Alice question the (bob_index, target) edges of the draws it feeds
-    (at most one per Bob question)."""
+SEARCH_FIRST_CHUNK = 4  # restarts in the first lockstep batch; later batches double
 
-    def __init__(self, game: GameSpec, alice: list):
-        self.alice = alice
-        self.counts = _bob_histograms(game, np.array(alice, dtype=np.int64)).tolist()
-        self.maxima = [max(counts) for counts in self.counts]
-        self.total = sum(self.maxima)
-        self.edges = game.alice_fan_out()
 
-    def deltas(self, x: int) -> list:
-        """Change of ``total`` for every answer at Alice question x: per
-        edge, x's draw leaves the counts, each answer's maximum is read off
-        with that draw put back at answer ^ target, and the counts are
-        restored."""
+class _SearchBatch:
+    """Local search on many Alice tables in lockstep.  Rows run along the
+    last axis: ``alice[x, r]`` is row r's answer at Alice question x and
+    ``counts[y * k + b, r]`` its ``_bob_histograms`` count, so every
+    update works on whole rows at once."""
+
+    def __init__(self, game: GameSpec, alice: np.ndarray):
+        k = game.answers_per_question
+        counts = _bob_histograms(game, alice)
+        self.total = counts.max(axis=2).sum(axis=1)
+        self.counts = np.ascontiguousarray(counts.reshape(len(alice), -1).T)
+        self.alice = np.ascontiguousarray(alice.T)
+        self.answers = np.arange(k)[:, None]
+        self.rows = np.arange(len(alice))
+        # cells[x][a, e]: the count of x's e-th Bob question y_e at answer a ^ t_e
+        self.cells = [ys * k + (self.answers ^ ts) for ys, ts in game.alice_fan_out()]
+
+    def step(self, x: int) -> np.ndarray:
+        """Change of ``total`` per row and answer at Alice question x; rows
+        that can gain move to their first best answer.  With x's draw taken
+        out, let rest_e be the largest count of Bob question e: the draw put
+        back at answer a ^ t_e raises e's maximum exactly when that count
+        equals rest_e, so answers differ by their numbers of such hits."""
+        cells = self.cells[x]
         old = self.alice[x]
-        out = [0] * len(self.counts[0])
-        for yi, t in self.edges[x]:
-            counts = self.counts[yi]
-            counts[old ^ t] -= 1
-            rest = max(counts)
-            before = self.maxima[yi]
-            for a in range(len(out)):
-                c = counts[a ^ t] + 1
-                out[a] += (c if c > rest else rest) - before
-            counts[old ^ t] += 1
-        return out
+        counts = self.counts[cells] - (self.answers == old)[:, None, :]
+        hits = (counts == counts.max(axis=0)).sum(axis=1)
+        deltas = hits - hits[old, self.rows]
+        new = deltas.argmax(axis=0)
+        gain = deltas[new, self.rows]
+        new = np.where(gain > 0, new, old)
+        self.counts[cells] = counts + (self.answers == new)[:, None, :]
+        self.alice[x] = new
+        self.total += gain
+        return deltas.T
 
-    def apply(self, x: int, new_answer: int):
-        old = self.alice[x]
-        for yi, t in self.edges[x]:
-            counts = self.counts[yi]
-            counts[old ^ t] -= 1
-            counts[new_answer ^ t] += 1
-            self.total += max(counts) - self.maxima[yi]
-            self.maxima[yi] = max(counts)
-        self.alice[x] = new_answer
+    def keep(self, mask: np.ndarray):
+        self.alice = self.alice[:, mask]
+        self.counts = self.counts[:, mask]
+        self.total = self.total[mask]
+        self.rows = self.rows[: len(self.total)]
+
+
+def _search_rows(game: GameSpec, alice: np.ndarray, restart_after: int, goal=None, steps=None) -> tuple:
+    """Run the local search from every row of ``alice`` (rows, nx) at once,
+    step s re-optimising Alice question s % nx, until the row's restart
+    (``restart_after`` consecutive passes without a gain), until its total
+    reaches ``goal``, or for ``steps`` steps.  Returns per row the initial
+    total, the steps run, the final total and table, and whether the row
+    stopped on reaching ``goal``.  Once a row reaches ``goal``, the rows
+    after it are dropped."""
+    nx = alice.shape[1]
+    batch = _SearchBatch(game, alice)
+    initial = batch.total.copy()
+    length = np.zeros(len(alice), dtype=np.int64)
+    final_total = initial.copy()
+    final = alice.copy()
+    reached = np.zeros(len(alice), dtype=bool) if goal is None else initial >= goal
+    ids = np.flatnonzero(~reached)
+    batch.keep(ids)
+    stale = np.zeros(len(ids), dtype=np.int64)
+    pass_start = batch.total.copy()
+    s = 0
+    while len(ids) and (steps is None or s < steps):
+        batch.step(s % nx)
+        s += 1
+        done = np.zeros(len(ids), dtype=bool)
+        if goal is not None:
+            hit = batch.total >= goal
+            if hit.any():
+                reached[ids[hit]] = True
+                done = hit | (ids > ids[hit].min())
+        if s % nx == 0:
+            stale = np.where(batch.total > pass_start, 0, stale + 1)
+            pass_start = batch.total.copy()
+            done |= stale >= restart_after
+        if done.any():
+            length[ids[done]] = s
+            final_total[ids[done]] = batch.total[done]
+            final[ids[done]] = batch.alice[:, done].T
+            kept = ~done
+            batch.keep(kept)
+            ids, stale, pass_start = ids[kept], stale[kept], pass_start[kept]
+    length[ids] = s
+    final_total[ids] = batch.total
+    final[ids] = batch.alice.T
+    return initial, length, final_total, final, reached
 
 
 def classical_value_search(
@@ -480,48 +534,63 @@ def classical_value_search(
     """Seeded iterated local search over Alice tables with Bob playing the
     best response.  Iteration 1 evaluates the seeded initial table; each
     further iteration re-optimizes one Alice answer (cycling through the
-    questions) and restarts from a fresh random table after
+    questions), moving to the first answer of largest gain when the gain is
+    positive, and restarts from a fresh random table after
     ``restart_after`` consecutive full passes without improvement.  The
-    returned value is a valid lower bound on the classical value.
+    best table is replaced only on a strict gain, and the search stops
+    once its value reaches ``target``.  The returned value is a valid lower
+    bound on the classical value.
+
+    Restarts happen only at pass boundaries and the seeded generator draws
+    nothing but the initial tables, so every restart's trajectory depends
+    on its initial table alone and all restarts visit the same Alice
+    question at the same step.  The restarts therefore run as lockstep
+    batches (``_search_rows``), drawn in growing chunks, and are then
+    scored in order; a restart stops at the step that reaches the target,
+    and the restart cut by the budget is rerun alone up to the budget.
     """
     if iterations < 1:
         raise GameError("iterations must be at least 1")
+    if restart_after < 1:
+        raise GameError("restart_after must be at least 1")
+    weight = game.uniform_support_weight()
+    goal = None
+    if target is not None:
+        if math.isnan(target):
+            raise GameError("target must be a number, not NaN")
+        # smallest win count whose value reaches the target, compared as the floats are
+        goal = bisect.bisect_left(range(len(game.pairs) + 1), True, key=lambda w: float(w * weight) >= target)
     rng = np.random.default_rng(seed)
     k = game.answers_per_question
     nx = len(game.alice_questions)
-    weight = game.uniform_support_weight()
-
-    def fresh_state():
-        alice = [int(rng.integers(0, k)) for _ in range(nx)]
-        return _SearchState(game, alice)
-
-    state = fresh_state()
-    best_won = state.total
-    best_alice = list(state.alice)
-    initial_value = best_won * weight
-    it = 1  # iteration 1: evaluation of the seeded initial table
-    stale_passes = 0
-    improved_this_pass = False
-    position = 0
-    while it < iterations:
-        if target is not None and float(best_won * weight) >= target:
-            break
-        it += 1
-        x = position
-        position = (position + 1) % nx
-        deltas = state.deltas(x)
-        if max(deltas) > 0:
-            state.apply(x, deltas.index(max(deltas)))
-            improved_this_pass = True
-        if position == 0:
-            stale_passes = 0 if improved_this_pass else stale_passes + 1
-            improved_this_pass = False
-            if stale_passes >= restart_after:
-                state = fresh_state()
-                stale_passes = 0
-        if state.total > best_won:
-            best_won = state.total
-            best_alice = list(state.alice)
+    best_won, best_alice, initial_won = -1, None, None
+    it = 1  # the iteration that draws the next restart's table
+    chunk = SEARCH_FIRST_CHUNK
+    finished = False
+    while not finished:
+        # every restart lasts at least restart_after passes
+        tables = rng.integers(0, k, size=(min(chunk, 1 + (iterations - it) // (restart_after * nx)), nx))
+        initial, length, final_total, final, reached = (a.tolist() for a in _search_rows(game, tables, restart_after, goal))
+        for r, table in enumerate(tables.tolist()):
+            if initial_won is None:
+                initial_won = initial[r]
+            if initial[r] > best_won:
+                best_won, best_alice = initial[r], table
+            if it == iterations or (goal is not None and best_won >= goal):
+                finished = True
+            elif it + length[r] > iterations:
+                _, _, total, cut, _ = _search_rows(game, tables[r : r + 1], restart_after, steps=iterations - it)
+                if total[0] > best_won:
+                    best_won, best_alice = total[0], cut[0].tolist()
+                it, finished = iterations, True
+            else:
+                if final_total[r] > best_won:
+                    best_won, best_alice = final_total[r], final[r]
+                it += length[r]
+                finished = reached[r]
+            if finished:
+                break
+        chunk *= 2
     alice_table = {q: best_alice[i] for i, q in enumerate(game.alice_questions)}
     bob_table, won = _best_response_bob(game, alice_table)
     exact = won * weight
@@ -534,7 +603,7 @@ def classical_value_search(
         notes={
             "lower_bound_only": True,
             "seed": seed,
-            "initial_value": float(initial_value),
+            "initial_value": float(initial_won * weight),
         },
     )
 

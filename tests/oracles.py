@@ -32,17 +32,88 @@ def brute_force_value(game):
     return best
 
 
+def _answer_wins(game, a_table, qb):
+    """Per Bob answer b at question qb, the draws b wins against Alice's
+    table, counted pair by pair."""
+    return [
+        sum(1 for (qa, qb2, _), t in zip(game.pairs, game.targets) if qb2 == qb and (a_table[qa] ^ b) == t)
+        for b in range(game.answers_per_question)
+    ]
+
+
 def best_response_won(game, a_table):
     """Draws won by Alice's table against Bob's best response, counted
     pair by pair for each Bob question and answer."""
-    k = game.answers_per_question
-    won = 0
+    return sum(max(_answer_wins(game, a_table, qb)) for qb in game.bob_questions)
+
+
+def best_response_table(game, a_table):
+    """Bob's best response: per question the smallest answer winning the
+    most draws."""
+    table = {}
     for qb in game.bob_questions:
-        won += max(
-            sum(1 for (qa, qb2, _), t in zip(game.pairs, game.targets) if qb2 == qb and (a_table[qa] ^ b) == t)
-            for b in range(k)
-        )
-    return won
+        wins = _answer_wins(game, a_table, qb)
+        table[qb] = wins.index(max(wins))
+    return table
+
+
+def local_search_reference(game, seed, iterations, target=None, restart_after=4):
+    """The seeded iterated local search over Alice tables as a plain loop.
+    Iteration 1 scores a table of one seeded draw per Alice question; each
+    later iteration rescores every answer of the next Alice question (in
+    question order, cyclically) by a full recount and moves to the first
+    best one if it wins more; after ``restart_after`` full passes in a row
+    without a move, a fresh table is drawn.  The best table changes only
+    on a strict gain, and the loop stops once its value reaches
+    ``target``.  Returns a dict with the best win count and its Alice and
+    Bob tables, the iterations run, the initial win count, the iterations
+    that drew a fresh table, and the best win count after each
+    iteration."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    k = game.answers_per_question
+    questions = list(game.alice_questions)
+    weight = game.pairs[0][2]
+
+    def fresh():
+        return {q: int(rng.integers(0, k)) for q in questions}
+
+    table = fresh()
+    won = best_response_won(game, table)
+    best_won, best_table = won, dict(table)
+    initial_won, restarts, history = won, [], [won]
+    it, stale, moved = 1, 0, False
+    while it < iterations:
+        if target is not None and float(best_won * weight) >= target:
+            break
+        it += 1
+        q = questions[(it - 2) % len(questions)]
+        scores = [best_response_won(game, {**table, q: a}) for a in range(k)]
+        if max(scores) > won:
+            table[q] = scores.index(max(scores))
+            won = max(scores)
+            moved = True
+        if (it - 1) % len(questions) == 0:
+            stale = 0 if moved else stale + 1
+            moved = False
+            if stale >= restart_after:
+                table = fresh()
+                won = best_response_won(game, table)
+                stale = 0
+                restarts.append(it)
+        if won > best_won:
+            best_won, best_table = won, dict(table)
+        history.append(best_won)
+    return {
+        "won": best_won,
+        "alice": best_table,
+        "bob": best_response_table(game, best_table),
+        "evaluations": it,
+        "initial_won": initial_won,
+        "restarts": restarts,
+        "history": history,
+    }
 
 
 def exhaustive_witness(game):

@@ -68,7 +68,7 @@ def test_criterion_2_parallel_repetition():
     )
     search_elapsed = time.perf_counter() - t1
     assert float(search.exact) >= 0.8499
-    assert search.evaluations <= 10**6
+    assert search.evaluations == 338  # the seeded trajectory, pinned
     assert search_elapsed < 600.0
     announce(
         "2",

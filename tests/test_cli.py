@@ -35,6 +35,13 @@ def test_value_rejects_even_n(tmp_path, capsys):
     assert "odd" in err
 
 
+def test_value_search_rejects_nan_target(tmp_path, capsys):
+    argv = ["value", "--game", "odd-cycle", "--n", "3", "--method", "search", "--target", "nan"]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert "NaN" in capsys.readouterr().err
+    assert not (tmp_path / "value-report.json").exists()
+
+
 def test_unknown_flag_exits_2(tmp_path):
     # the child imports the same package as this process, also when only
     # pytest's own `pythonpath` setting put it on the path

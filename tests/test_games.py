@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 from itertools import product
 
@@ -10,7 +11,7 @@ from oddcycle.games import (
     GameError,
     GameSpec,
     StrategyError,
-    _SearchState,
+    _SearchBatch,
     _best_response_bob,
     classical_value_exact,
     classical_value_search,
@@ -24,7 +25,7 @@ from oddcycle.games import (
 )
 from oddcycle.torus import BudgetExceeded
 
-from oracles import best_response_won, brute_force_value, exhaustive_witness
+from oracles import best_response_won, brute_force_value, exhaustive_witness, local_search_reference
 
 
 def xmod2(game):
@@ -173,22 +174,123 @@ def test_bob_fan_in_uniform_and_checked():
 
 
 @pytest.mark.parametrize("game", [make_odd_cycle_game(5, 2), make_chsh_game(3)], ids=["odd-cycle-5-2", "chsh-3"])
-def test_search_state_tracks_recount(game):
+def test_search_batch_tracks_recount(game):
     rng = np.random.default_rng(11)
     k = game.answers_per_question
     questions = game.alice_questions
-    state = _SearchState(game, [int(a) for a in rng.integers(0, k, len(questions))])
-    assert _SearchState(game, list(state.alice)).edges is state.edges  # built once per game
-    for _ in range(60):
-        x, a = int(rng.integers(0, len(questions))), int(rng.integers(0, k))
-        table = dict(zip(questions, state.alice))
-        won = _best_response_bob(game, table)[1]
-        deltas = state.deltas(x)
-        for b in range(k):
-            assert deltas[b] == _best_response_bob(game, {**table, questions[x]: b})[1] - won
-        state.apply(x, a)
-        table = dict(zip(questions, state.alice))
-        assert state.total == _best_response_bob(game, table)[1] == best_response_won(game, table)
+    assert game.alice_fan_out() is game.alice_fan_out()  # built once per game
+    batch = _SearchBatch(game, rng.integers(0, k, size=(3, len(questions))))
+    for step in range(3 * len(questions)):
+        x = step % len(questions)
+        tables = [dict(zip(questions, row)) for row in batch.alice.T.tolist()]
+        before = [_best_response_bob(game, table)[1] for table in tables]
+        deltas = batch.step(x).tolist()
+        for r, table in enumerate(tables):
+            wants = [_best_response_bob(game, {**table, questions[x]: b})[1] - before[r] for b in range(k)]
+            assert deltas[r] == wants
+            moved = wants.index(max(wants)) if max(wants) > 0 else table[questions[x]]
+            assert batch.alice[x, r] == moved
+            after = dict(zip(questions, batch.alice[:, r].tolist()))
+            assert batch.total[r] == _best_response_bob(game, after)[1] == best_response_won(game, after)
+
+
+@pytest.mark.parametrize("k", [2, 4, 8])
+def test_search_table_draws_match_scalar_draws(k):
+    # the search draws its restarts' tables in row chunks; the stream must
+    # equal one scalar draw per Alice question, restart after restart
+    scalar, chunked = np.random.default_rng(3), np.random.default_rng(3)
+    rows = [[int(scalar.integers(0, k)) for _ in range(7)] for _ in range(7)]
+    drawn = [chunked.integers(0, k, size=(size, 7)).tolist() for size in (1, 2, 4)]
+    assert sum(drawn, []) == rows
+
+
+SEARCH_GAMES = {
+    "odd-cycle-3-1": make_odd_cycle_game(3, 1),
+    "odd-cycle-3-2": make_odd_cycle_game(3, 2),
+    "odd-cycle-5-2": make_odd_cycle_game(5, 2),
+    "chsh-2": make_chsh_game(2),
+    "chsh-3": make_chsh_game(3),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _search_probe(name):
+    """The seed-0 reference trajectory through two restarts and into the
+    third restart's row."""
+    game = SEARCH_GAMES[name]
+    nx = len(game.alice_questions)
+    ref = local_search_reference(game, 0, 13 * nx + 1)
+    assert len(ref["restarts"]) >= 2 and ref["restarts"][1] + nx + 3 <= ref["evaluations"]
+    return ref
+
+
+def _assert_search_matches_reference(game, iterations, target):
+    report = classical_value_search(game, seed=0, iterations=iterations, target=target)
+    ref = local_search_reference(game, 0, iterations, target=target)
+    weight = game.pairs[0][2]
+    assert report.exact == ref["won"] * weight
+    assert report.witness.alice_table == ref["alice"]
+    assert report.witness.bob_table == ref["bob"]
+    assert report.evaluations == ref["evaluations"]
+    assert report.notes == {"lower_bound_only": True, "seed": 0, "initial_value": float(ref["initial_won"] * weight)}
+    return ref
+
+
+@pytest.mark.parametrize("budget", ["1", "2", "nx", "nx+1", "first-restart", "second-restart", "mid-row"])
+@pytest.mark.parametrize("name", list(SEARCH_GAMES))
+def test_search_matches_reference_loop_on_budgets(name, budget):
+    game = SEARCH_GAMES[name]
+    nx = len(game.alice_questions)
+    restarts = _search_probe(name)["restarts"]
+    iterations = {
+        "1": 1,
+        "2": 2,
+        "nx": nx,
+        "nx+1": nx + 1,
+        "first-restart": restarts[0],
+        "second-restart": restarts[1],
+        "mid-row": restarts[1] + nx + 3,
+    }[budget]
+    ref = _assert_search_matches_reference(game, iterations, None)
+    assert ref["evaluations"] == iterations
+    assert ref["restarts"] == [r for r in restarts if r <= iterations]
+
+
+def test_search_scores_the_table_drawn_on_the_last_iteration():
+    # a random XOR game on four questions whose seed-0 search stalls below
+    # the table its second restart draws: a budget ending on that restart
+    # must still score the fresh table
+    targets = np.random.default_rng(74).integers(0, 4, size=16).tolist()
+    questions = tuple((i,) for i in range(4))
+    pairs = tuple((qa, qb, Fraction(1, 16)) for qa in questions for qb in questions)
+    game = GameSpec("xor", 4, 2, questions, questions, pairs, tuple(targets))
+    probe = local_search_reference(game, 0, 60)
+    restart = next(r for r in probe["restarts"] if probe["history"][r - 1] > probe["history"][r - 2])
+    assert _assert_search_matches_reference(game, restart, None)["won"] == probe["history"][restart - 1]
+
+
+@pytest.mark.parametrize(
+    "name, reached",
+    [(name, reached) for name in SEARCH_GAMES for reached in ("initial", "mid-row", "never")]
+    + [("odd-cycle-5-2", "later-row")],
+)
+def test_search_matches_reference_loop_on_targets(name, reached):
+    game = SEARCH_GAMES[name]
+    nx = len(game.alice_questions)
+    probe = _search_probe(name)
+    history, restart = probe["history"], probe["restarts"][0]
+    won = {
+        "initial": probe["initial_won"],
+        "mid-row": history[restart - 2],  # the first restart's best, before the fresh table
+        "later-row": max(history),
+        "never": max(history) + 1,
+    }[reached]
+    iterations = restart + nx + 3 if reached == "never" else probe["evaluations"]
+    ref = _assert_search_matches_reference(game, iterations, float(won * game.pairs[0][2]))
+    stop = history.index(won) + 1 if won in history else iterations
+    assert ref["evaluations"] == stop
+    where = {"initial": stop == 1, "mid-row": 1 < stop < restart, "later-row": stop > restart, "never": True}
+    assert where[reached]
 
 
 def test_best_response_disagreement_raises(monkeypatch):
@@ -245,6 +347,10 @@ def test_search_single_iteration_returns_initial():
     assert report.value == report.notes["initial_value"]
     with pytest.raises(GameError):
         classical_value_search(g, iterations=0)
+    with pytest.raises(GameError):
+        classical_value_search(g, restart_after=0)
+    with pytest.raises(GameError, match="NaN"):
+        classical_value_search(g, target=float("nan"))
 
 
 def test_search_value_is_achievable():
