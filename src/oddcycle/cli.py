@@ -144,6 +144,13 @@ def _load_graph(args) -> TorusGraph:
 
 
 def _cmd_value(args) -> dict:
+    if args.method != "search":
+        search_only = {"--iterations": args.iterations, "--target": args.target}
+        stray = [flag for flag, v in search_only.items() if v is not None]
+        if stray:
+            raise GameError(f"{' and '.join(stray)} apply only to --method search")
+    elif args.iterations is None:
+        args.iterations = 100_000  # set on args so the manifest records it
     if args.game == "odd-cycle":
         game = make_odd_cycle_game(args.n, args.d)
     elif args.game == "chsh":
@@ -338,8 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--method", choices=("exhaustive", "best-response", "search"), default="exhaustive")
-    p.add_argument("--iterations", type=int, default=100_000)
-    p.add_argument("--target", type=float, default=None)
+    p.add_argument("--iterations", type=int, default=None, help="search only (default 100000)")
+    p.add_argument("--target", type=float, default=None, help="search only")
     p.add_argument("--delta", default=None, help="CHSH twist bits for (0,0),(0,1),(1,0),(1,1)")
 
     p = sub.add_parser("qvalue", help="quantum strategy values")

@@ -53,12 +53,20 @@ class TorusGraph:
     removed: frozenset = frozenset()
 
     def __post_init__(self):
+        """Validate the shape and every removed edge.  A ``frozenset`` of
+        edges of ``torus_edges(n, d)`` is valid as a whole (the set holds
+        no duplicates), so it is accepted by one subset test; any other
+        input is checked edge by edge.  An empty removal needs no edge
+        table, which would take O(n^d) memory to build."""
         if self.n < 2:
             raise TorusError("side length must be at least 2")
         if self.d < 1:
             raise TorusError("dimension must be at least 1")
+        removed = self.removed
+        if isinstance(removed, frozenset) and (not removed or removed <= _edge_set(self.n, self.d)):
+            return
         seen = set()
-        for edge in self.removed:
+        for edge in removed:
             vertex, axis = edge
             if not (0 <= axis < self.d):
                 raise TorusError(f"invalid axis in removed edge {edge!r}")
@@ -309,6 +317,11 @@ def torus_edges(n: int, d: int = 2) -> tuple:
     return tuple((v, axis) for v in product(range(n), repeat=d) for axis in range(d))
 
 
+@lru_cache(maxsize=32)
+def _edge_set(n: int, d: int) -> frozenset:
+    return frozenset(torus_edges(n, d))
+
+
 def edge_id(edge: Edge, n: int) -> int:
     vertex, axis = edge
     rank = 0
@@ -338,6 +351,20 @@ def _edge_ends(n: int, d: int) -> tuple:
     return tuple(ends), centre, low_bits
 
 
+@lru_cache(maxsize=32)
+def _edge_loops(n: int, d: int) -> tuple:
+    """Per edge id: the index of the axis loop holding that edge.  The loop
+    along ``axis`` through the vertices that agree off ``axis`` with v has
+    index ``axis * n^(d-1) + rank`` of v with coordinate ``axis`` dropped;
+    the d * n^(d-1) loops partition the edges, n edges each."""
+    loops = []
+    for tail in range(n ** d):
+        for axis in range(d):
+            place = n ** (d - 1 - axis)
+            loops.append(axis * n ** (d - 1) + tail // (place * n) * place + tail % place)
+    return tuple(loops)
+
+
 def is_blocker(n: int, d: int, removed, mode: str = "all-nontrivial") -> bool:
     """Whether removing the edges with the given ids (see ``torus_edges``)
     blocks every topologically nontrivial cycle of the n^d torus (odd-only:
@@ -349,12 +376,19 @@ def is_blocker(n: int, d: int, removed, mode: str = "all-nontrivial") -> bool:
     edge closing a cycle inside one tree exposes that cycle's winding; the
     removal blocks iff every such winding is zero (odd-only: even), since
     these fundamental cycles generate every cycle of the residual graph.
+
+    Before the union-find, a removal that leaves some axis loop untouched
+    is rejected: that loop survives with winding e_axis, nontrivial for
+    every n and odd whenever odd-only mode gets this far (odd n).
     """
     if mode not in ("all-nontrivial", "odd-only"):
         raise TorusError(f"unknown mode {mode!r}")
     if mode == "odd-only" and n % 2 == 0:
         # a closed walk moves each coordinate by a multiple of n: all even
         return True
+    removed = list(removed)
+    if len(set(map(_edge_loops(n, d).__getitem__, removed))) < d * n ** (d - 1):
+        return False
     ends, centre, low_bits = _edge_ends(n, d)
     mask = low_bits if mode == "odd-only" else -1
     alive = bytearray(b"\x01") * len(ends)
@@ -412,19 +446,8 @@ def _axis_loop_lower_bound(g: TorusGraph, removed: set, mode: str) -> int:
     edge per untouched loop."""
     if mode == "odd-only" and g.n % 2 == 0:
         return 0
-    untouched = 0
-    for axis in range(g.d):
-        for trans in product(range(g.n), repeat=g.d - 1):
-            hit = False
-            for k in range(g.n):
-                v = list(trans)
-                v.insert(axis, k)
-                if (tuple(v), axis) in removed:
-                    hit = True
-                    break
-            if not hit:
-                untouched += 1
-    return untouched
+    loops = _edge_loops(g.n, g.d)
+    return g.d * g.n ** (g.d - 1) - len({loops[edge_id(e, g.n)] for e in removed})
 
 
 def min_blocker(

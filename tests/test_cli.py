@@ -42,6 +42,29 @@ def test_value_search_rejects_nan_target(tmp_path, capsys):
     assert not (tmp_path / "value-report.json").exists()
 
 
+@pytest.mark.parametrize("method", ["exhaustive", "best-response"])
+@pytest.mark.parametrize("flags", [["--target", "0.1"], ["--iterations", "5"]])
+def test_value_search_flags_rejected_for_exact_methods(tmp_path, capsys, monkeypatch, method, flags):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the game was built")
+
+    monkeypatch.setattr(cli, "make_odd_cycle_game", no_work)
+    argv = ["value", "--game", "odd-cycle", "--n", "3", "--method", method, *flags]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert f"{flags[0]} apply only to --method search" in capsys.readouterr().err
+    assert not (tmp_path / "value-report.json").exists()
+
+
+def test_value_iterations_default_applies_to_search_only(tmp_path):
+    base = ["value", "--game", "odd-cycle", "--n", "3", "--out", str(tmp_path)]
+    assert main(base + ["--method", "search"]) == 0
+    manifest = json.loads((tmp_path / "value-manifest.json").read_text())
+    assert manifest["params"]["iterations"] == 100_000
+    assert main(base + ["--method", "exhaustive"]) == 0
+    manifest = json.loads((tmp_path / "value-manifest.json").read_text())
+    assert "iterations" not in manifest["params"]
+
+
 def test_unknown_flag_exits_2(tmp_path):
     # the child imports the same package as this process, also when only
     # pytest's own `pythonpath` setting put it on the path

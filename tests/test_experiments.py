@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -30,6 +31,7 @@ from oddcycle.experiments import (
 from oddcycle.serialize import dumps
 from oddcycle.torus import (
     TorusGraph,
+    edge_id,
     make_section,
     make_tube,
     torus_edges,
@@ -158,6 +160,36 @@ def test_sample_default_law_seeded_draw_pinned():
     ]
     assert rec["attempts"] == 10
     assert sorted(rec["graph"].removed) == [edges[i] for i in expected]
+
+
+def _seed0_draws(n, law):
+    """Three consecutive draws from one seed-0 rng: (attempts, sorted
+    removed edge ids) each."""
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        rec = sample_torical_graph(n, 2, law, rng)
+        yield rec["attempts"], sorted(edge_id(e, n) for e in rec["graph"].removed)
+
+
+def test_sample_consecutive_draws_pinned():
+    # recorded before the axis-loop rejection in is_blocker: the rng calls,
+    # their order across rejected and accepted draws, and every accept
+    # decision must not move
+    tiny = list(_seed0_draws(3, {"kind": "uniform-size", "size": 7}))
+    assert tiny == [
+        (5, [5, 6, 11, 12, 14, 16, 17]),
+        (393, [0, 2, 4, 5, 9, 10, 17]),
+        (1, [5, 6, 8, 10, 11, 15, 16]),
+    ]
+    law = [
+        (attempts, len(ids), hashlib.sha256(repr(ids).encode()).hexdigest()[:16])
+        for attempts, ids in _seed0_draws(9, ExperimentConfig().removal_law)
+    ]
+    assert law == [
+        (3, 86, "ab88e84e886b0375"),
+        (3, 90, "3c12fb4857330164"),
+        (11, 91, "5f30730e4c373f56"),
+    ]
 
 
 def test_sample_size_six_acceptance_matches_exhaustive_count():

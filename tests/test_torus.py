@@ -180,6 +180,64 @@ def test_is_blocker_unknown_mode():
         is_blocker(3, 2, (), "even-only")
 
 
+def _no_union_find(*args):
+    raise AssertionError("the union-find ran")
+
+
+@pytest.mark.parametrize(
+    "n, d, mode, spared",
+    [
+        (2, 2, "all-nontrivial", ((1, 1), 1)),  # parallel edges
+        (4, 1, "all-nontrivial", ((3,), 0)),  # the single loop of a cycle
+        (4, 3, "all-nontrivial", ((1, 3, 2), 1)),
+        (3, 2, "odd-only", ((2, 1), 0)),
+        (5, 3, "odd-only", ((0, 2, 4), 2)),
+    ],
+)
+def test_is_blocker_rejects_untouched_axis_loop_early(monkeypatch, n, d, mode, spared):
+    # the transverse cut hits every axis loop once; sparing one cut edge
+    # leaves exactly that edge's loop untouched
+    assert spared in transverse_cut_blocker(n, d)
+    cut = transverse_cut_blocker(n, d) - {spared}
+    g = TorusGraph(n, d, cut)
+    assert torus._axis_loop_lower_bound(g, cut, mode) == 1
+    assert not verify_blocker(g, mode)["blocked"]
+    monkeypatch.setattr(torus, "_edge_ends", _no_union_find)
+    assert not is_blocker(n, d, [edge_id(e, n) for e in cut], mode)
+
+
+def test_is_blocker_runs_union_find_when_every_loop_is_hit(monkeypatch):
+    # one edge off each axis loop of T3^2, staggered so that a staircase
+    # cycle of winding (1, 1) survives
+    removed = {((k, k), axis) for k in range(3) for axis in range(2)}
+    g = TorusGraph(3, 2, frozenset(removed))
+    calls = []
+    edge_ends = torus._edge_ends
+    monkeypatch.setattr(torus, "_edge_ends", lambda n, d: calls.append(n) or edge_ends(n, d))
+    for mode in ("all-nontrivial", "odd-only"):
+        assert torus._axis_loop_lower_bound(g, removed, mode) == 0
+        assert not verify_blocker(g, mode)["blocked"]
+        assert not is_blocker(3, 2, [edge_id(e, 3) for e in removed], mode)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("n, d", [(3, 2), (4, 2), (2, 3)])
+def test_is_blocker_reads_a_generator_once(n, d):
+    ids = [edge_id(e, n) for e in transverse_cut_blocker(n, d)]
+    for mode in ("all-nontrivial", "odd-only"):
+        assert is_blocker(n, d, (e for e in ids), mode) == is_blocker(n, d, ids, mode) is True
+        assert is_blocker(n, d, (e for e in ids[1:]), mode) == is_blocker(n, d, ids[1:], mode)
+
+
+def test_is_blocker_out_of_range_id_raises():
+    cut = [edge_id(e, 3) for e in transverse_cut_blocker(3, 2)]
+    for mode in ("all-nontrivial", "odd-only"):
+        with pytest.raises(IndexError):
+            is_blocker(3, 2, cut + [18], mode)
+        with pytest.raises(IndexError):
+            is_blocker(3, 2, [18], mode)
+
+
 def test_min_blocker_matches_disjoint_loop_bound():
     assert min_blocker(TorusGraph(3, 2))["size"] == 6
     assert min_blocker(TorusGraph(4, 2))["size"] == 8
@@ -363,6 +421,34 @@ def test_graph_validation():
         TorusGraph(3, 2, frozenset({((0, 0), 5)}))
     with pytest.raises(TorusError):
         TorusGraph(3, 2, frozenset({((7, 0), 0)}))
+
+
+@pytest.mark.parametrize("container", [frozenset, list])
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (((0, 0), 2), "invalid axis"),
+        (((0, -1), 1), "invalid vertex"),
+        (((0, 3), 0), "invalid vertex"),
+        (((0, 0, 0), 0), "invalid vertex"),
+    ],
+)
+def test_graph_validation_rejects_bad_edge(container, bad, message):
+    # a valid edge alongside: the frozenset subset test must fail as a whole
+    with pytest.raises(TorusError, match=message):
+        TorusGraph(3, 2, container([((1, 2), 0), bad]))
+
+
+def test_graph_validation_rejects_duplicate_edge_in_list():
+    with pytest.raises(TorusError, match="duplicate"):
+        TorusGraph(3, 2, [((1, 2), 0), ((0, 0), 1), ((1, 2), 0)])
+
+
+def test_graph_from_valid_frozenset_equals_graph_from_set():
+    cut = transverse_cut_blocker(4, 3)
+    fast = TorusGraph(4, 3, frozenset(cut))
+    assert fast == TorusGraph(4, 3, set(cut))
+    assert fast.edge_count() == 3 * 4**3 - 3 * 4**2
 
 
 def test_vertex_removal_variant():
