@@ -133,6 +133,13 @@ REMOVAL_LAWS = {
 }
 
 
+def _check_removal_law(removal_law: dict):
+    """ExperimentError unless the law has a REMOVAL_LAWS kind and its keys."""
+    needs = REMOVAL_LAWS.get(removal_law.get("kind"))
+    if needs is None or not all(key in removal_law for key in needs):
+        raise ExperimentError(f"unknown removal law {removal_law!r}")
+
+
 def sample_torical_graph(n: int, d: int, removal_law: dict, rng) -> dict:
     """Rejection-sample removed edge sets until the odd-blocker property
     holds.  Supported laws:
@@ -150,19 +157,18 @@ def sample_torical_graph(n: int, d: int, removal_law: dict, rng) -> dict:
     the acceptance rate collapses.
     """
     TorusGraph(n, d)  # rejects a bad shape before any draw
+    _check_removal_law(removal_law)
     edges = torus_edges(n, d)
-    kind = removal_law.get("kind")
+    kind = removal_law["kind"]
     if kind == "transverse":
         low = high = 0
     elif kind == "uniform-size":
         low = high = int(removal_law["size"])
     elif kind == "uniform-size-range":
         low, high = int(removal_law["low"]), int(removal_law["high"])
-    elif kind == "uniform-edge-fraction":
+    else:
         low = int(round(float(removal_law["low"]) * len(edges)))
         high = int(round(float(removal_law["high"]) * len(edges)))
-    else:
-        raise ExperimentError(f"unknown removal law {removal_law!r}")
     if not 0 <= low <= high <= len(edges):
         raise ExperimentError(
             f"removal size range [{low}, {high}] outside [0, {len(edges)}] edges"
@@ -370,9 +376,7 @@ class ExperimentConfig:
                 raise ExperimentError(f"{name} must lie in (0, 1), got {getattr(self, name)}")
         if not self.theta_grid or not all(theta > 0 for theta in self.theta_grid):
             raise ExperimentError(f"theta_grid must be nonempty and positive, got {list(self.theta_grid)}")
-        needs = REMOVAL_LAWS.get(self.removal_law.get("kind"))
-        if needs is None or not all(key in self.removal_law for key in needs):
-            raise ExperimentError(f"unknown removal law {self.removal_law!r}")
+        _check_removal_law(self.removal_law)
         if not self.n_values or len(set(self.n_values)) != len(self.n_values):
             raise ExperimentError(f"n_values must be nonempty and distinct, got {list(self.n_values)}")
         if not all(n >= 3 and n % 2 for n in self.n_values):

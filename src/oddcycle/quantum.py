@@ -17,7 +17,6 @@ reported probability is the exact Born value of that product strategy.
 from __future__ import annotations
 
 import cmath
-import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -267,112 +266,130 @@ def _maximize_profile(z1: complex, z2: complex) -> float:
     return best[1]
 
 
-class _AngleProblem:
+class _AngleForms:
     """The angle objective sum_t W[t] prod_j (1 + E[t, j] cos(alpha + beta))/2
-    (W normalised, E[t, j] = +1 for target bit 0, else -1) as a quadratic
-    form.  Edge e is a distinct (Alice key index, Bob key index) leg pair,
-    ends[side][e], with r[e] = cos(alpha + beta) = Re(pa pb) for the unit
-    phasors of its two angles; for depth <= 2 the objective is
-    c + b.r + r.Q.r, where each leg adds W E / 2^depth to b and a two-leg
-    term adds W E0 E1 / 8 to Q at (e0, e1) and at (e1, e0).
+    (W normalised over a restriction's kept pairs, E[t, j] = +1 for target
+    bit 0, else -1) of several restrictions of one game, as quadratic forms
+    in the full game's edge layout.  Edge e is a distinct (Alice key index,
+    Bob key index) leg pair, ends[side][e], with r[e] = cos(alpha + beta) =
+    Re(pa pb) for the unit phasors of its two angles; for depth <= 2 the
+    objective is c + b.r + r.Q.r, where each leg adds W E / 2^depth to b
+    and a two-leg term adds W E0 E1 / 8 to Q at (e0, e1) and at (e1, e0).
+    Column i of A = [[Q, b/2], [b/2, c]] is restriction i, with zero b and
+    Q on the edges it lacks; present[side][k, i] says whether it asks key
+    k of that side.  Arrays keep the restriction index last."""
 
-    touch[side][k] holds, as Python lists, what angle k of that side needs:
-    its incident edges, each edge's partner key index, b on them, their
-    nonzero 2Q entries against the other edges, and their Q block as
-    (i, j, coefficient) for i <= j, with Q/2 on the diagonal and Q above it
-    (the coefficients of z2 in profile())."""
-
-    def __init__(self, game: GameSpec, restrict_pairs=None):
+    def __init__(self, game: GameSpec, restrictions: list):
         if game.depth > 2:
             raise QuantumError("angle optimization supports depth <= 2")
-        pairs = list(zip(game.pairs, game.targets))
-        if restrict_pairs is not None:
-            keep = set(restrict_pairs)
-            pairs = [p for p in pairs if (p[0][0], p[0][1]) in keep]
-            if not pairs:
-                raise QuantumError("no surviving question pairs to optimize over")
-        questions = ([qa for (qa, _, _), _ in pairs], [qb for (_, qb, _), _ in pairs])
-        self.keys = tuple(sorted({x for q in qs for x in q}) for qs in questions)
+        depth, n_pairs = game.depth, len(game.pairs)
+        names = [(qa, qb) for qa, qb, _ in game.pairs]
+        self.keys = tuple(sorted({x for q in qs for x in q}) for qs in zip(*names))
         index = [{x: i for i, x in enumerate(ks)} for ks in self.keys]
-        depth = game.depth
-        total_w = sum(float(w) for (_, _, w), _ in pairs)
         edges: dict = {}
-        b = collections.defaultdict(float)
-        Q = collections.defaultdict(float)
-        self.c = 0.0
-        for (qa, qb, w), t in pairs:
-            w = float(w) / total_w
-            self.c += 0.5**depth * w
-            legs = []
-            for j in range(depth):
-                e = edges.setdefault((index[0][qa[j]], index[1][qb[j]]), len(edges))
-                sign = 1.0 - 2.0 * ((t >> j) & 1)
-                b[e] += 0.5**depth * w * sign
-                legs.append((e, sign))
-            if depth == 2:
-                (e0, s0), (e1, s1) = legs
-                for key in ((e0, e1), (e1, e0)):
-                    Q[key] += 0.125 * w * s0 * s1
-        self.ends = tuple(zip(*edges))
-        self.b = np.array([b[e] for e in range(len(edges))])
-        self.Q = np.zeros((len(edges), len(edges)))
-        for (e, f), q in Q.items():
-            self.Q[e, f] = q
-        self.touch = [
-            [self._tables(side, k, Q) for k in range(len(ks))] for side, ks in enumerate(self.keys)
-        ]
+        ends = ((index[0][qa[j]], index[1][qb[j]]) for qa, qb in names for j in range(depth))
+        legs = np.array([edges.setdefault(ij, len(edges)) for ij in ends]).reshape(n_pairs, depth)
+        self.ends = [np.array(end) for end in zip(*edges)]
+        n_edges, pair = len(edges), np.arange(n_pairs)[:, None]
+        signs = 1.0 - 2.0 * ((np.array(game.targets)[:, None] >> np.arange(depth)) & 1)
+        # per pair, unnormalised: b with c as a last entry, Q, and the keys it asks
+        linear = np.zeros((n_pairs, n_edges + 1))
+        np.add.at(linear, (pair, legs), 0.5**depth * signs)
+        linear[:, -1] = 0.5**depth
+        quad = np.zeros((n_pairs, n_edges, n_edges))
+        if depth == 2:  # at (e0, e1) and at (e1, e0)
+            np.add.at(quad, (pair, legs, legs[:, ::-1]), 0.125 * signs.prod(axis=1, keepdims=True))
+        asks = [np.zeros((n_pairs, len(ks))) for ks in self.keys]
+        for ask, end in zip(asks, self.ends):
+            ask[pair, end[legs]] = 1.0
+        keeps = (None if r is None else set(r) for r in restrictions)
+        kept = np.array([[keep is None or q in keep for q in names] for keep in keeps], dtype=float)
+        weight = kept * np.array([float(w) for _, _, w in game.pairs])
+        total = weight.sum(axis=1, keepdims=True)
+        if not total.all():
+            raise QuantumError("no surviving question pairs to optimize over")
+        weight /= total
+        b = (weight @ linear).T
+        Q = (weight @ quad.reshape(n_pairs, -1)).T.reshape(n_edges, n_edges, -1)
+        self.present = [(kept @ ask > 0).T for ask in asks]
+        # objective = r1.(A r1) for r1 = (r, 1)
+        self.A = np.zeros((n_edges + 1, n_edges + 1, len(restrictions)))
+        self.A[:-1, :-1] = Q
+        self.A[:-1, -1] = self.A[-1, :-1] = b[:-1] / 2
+        self.A[-1, -1] = b[-1]
+        # per angle, Alice's then Bob's in key order: its incident edges,
+        # their partner keys and the pairs i <= j of them; then per
+        # restriction the rows [2Q off the incident columns | b] giving z1,
+        # the z2 coefficients of the pairs (Q/2 when i == j), and whether
+        # the restriction has this key
+        self.tables = []
+        for side in (0, 1):
+            for k in range(len(self.keys[side])):
+                inc = np.flatnonzero(self.ends[side] == k)
+                rows = np.concatenate([2.0 * Q[inc], b[inc, None]], axis=1)
+                rows[:, inc] = 0.0
+                i, j = np.triu_indices(len(inc))
+                coef = (Q[inc[i], inc[j]] * np.where(i == j, 0.5, 1.0)[:, None]).astype(complex)
+                fixed = (side, k, inc, self.ends[1 - side][inc], i, j)
+                self.tables.append((fixed, (rows, coef, self.present[side][k])))
 
-    def _tables(self, side: int, k: int, Q: dict) -> tuple:
-        inc = [e for e, end in enumerate(self.ends[side]) if end == k]
-        local = {e: i for i, e in enumerate(inc)}
-        rows = [[] for _ in inc]
-        block = []
-        for (e, f), q in sorted(Q.items()):
-            if e not in local:
-                continue
-            if f not in local:
-                rows[local[e]].append((f, 2.0 * q))
-            elif e <= f:
-                block.append((local[e], local[f], q if e < f else 0.5 * q))
-        partner = [self.ends[1 - side][e] for e in inc]
-        return inc, partner, self.b[inc].tolist(), rows, block
+    def starts(self, i: int, seed: int, count: int, inits):
+        """Yield restriction i's start angles per side over all keys, 0 on
+        the keys it lacks.  On its keys: the inits' angles (0 where a table
+        lacks a key), then random starts drawn per side from
+        default_rng(seed), up to `count` in all."""
+        rng = np.random.default_rng(seed)
+        keys = [[q for q, on in zip(ks, here[:, i]) if on] for ks, here in zip(self.keys, self.present)]
+        drawn = [[[float(table.get(q, 0.0)) for q in ks] for table, ks in zip(init, keys)] for init in inits or []]
+        while len(drawn) < count:
+            drawn.append([rng.uniform(0, 2 * math.pi, len(ks)) for ks in keys])
+        for start in drawn:
+            angles = [np.zeros(len(ks)) for ks in self.keys]
+            for side, here in enumerate(self.present):
+                angles[side][here[:, i]] = start[side]
+            yield angles
 
-    def edge_values(self, phase) -> list:
-        """r[e] = Re(pa pb) for the phasor lists phase[0] (Alice), phase[1] (Bob)."""
-        return [(phase[0][i] * phase[1][j]).real for i, j in zip(*self.ends)]
+    def strategy(self, i: int, angles) -> QubitStrategy:
+        """The strategy of per-side angles over all keys, tabled on the keys
+        restriction i asks."""
+        tables = (
+            {q: float(a) for q, a, on in zip(ks, side, here[:, i]) if on}
+            for ks, side, here in zip(self.keys, angles, self.present)
+        )
+        return QubitStrategy(bell_phase_state(0.0), *tables)
 
-    def objective(self, r) -> float:
-        r = np.array(r)
-        return float(self.c + r.dot(self.b + self.Q.dot(r)))
+    def scalar_tables(self, i: int) -> list:
+        """Column i of the per-angle tables, for the angles restriction i asks,
+        as Python lists: (side, k, incident edges, _profile's terms), the
+        terms being the partner keys, b on the incident edges, their nonzero
+        2Q entries (f, 2Q_ef) against the other edges, and the nonzero z2
+        coefficients (i, j, q)."""
+        out = []
+        for (side, k, inc, partner, pi, pj), (rows, coef, on) in self.tables:
+            if on[i]:
+                M = rows[..., i]
+                quad = [[(f, q) for f, q in enumerate(row) if q] for row in M[:, :-1].tolist()]
+                block = [(x, y, q) for x, y, q in zip(pi.tolist(), pj.tolist(), coef[:, i].real.tolist()) if q]
+                out.append((side, k, inc.tolist(), (partner.tolist(), M[:, -1].tolist(), quad, block)))
+        return out
 
-    def profile(self, phase, r, side: int, k: int) -> tuple:
-        """(z1, z2) such that, with every other angle fixed, the objective in
-        angle k of one side is a constant plus Re(z1 e^{ia}) + Re(z2 e^{2ia}):
-        with p the partner phasors of the incident edges,
-        z1 = sum_e p_e (b_e + sum_f 2 Q_ef r_f) over the other edges f, and
-        z2 = sum_{e,e'} Q_ee' p_e p_e' / 2."""
-        _, partner, b, rows, block = self.touch[side][k]
-        other = phase[1 - side]
-        p = [other[j] for j in partner]
-        z1 = 0j
-        for pe, h, row in zip(p, b, rows):
-            for f, q in row:
-                h += q * r[f]
-            z1 += pe * h
-        z2 = 0j
-        for i, j, q in block:
-            z2 += q * p[i] * p[j]
-        return z1, z2
 
-    def update(self, phase, r, side: int, k: int) -> float:
-        """Set angle k of one side to its best value with all others fixed,
-        writing its phasor into phase and its edges into r; returns it."""
-        a = _maximize_profile(*self.profile(phase, r, side, k))
-        phase[side][k] = w = cmath.exp(1j * a)
-        tables, other = self.touch[side][k], phase[1 - side]
-        for e, j in zip(tables[0], tables[1]):
-            r[e] = (w * other[j]).real
-        return a
+def _profile(other: list, r: list, partner: list, b: list, rows: list, block: list) -> tuple:
+    """(z1, z2, p) such that, with every other angle fixed, the objective in
+    one angle is a constant plus Re(z1 e^{ia}) + Re(z2 e^{2ia}): with p the
+    partner phasors (from other) of its incident edges,
+    z1 = sum_e p_e (b_e + sum_f 2 Q_ef r_f) over the other edges f, and
+    z2 = sum_{e,e'} Q_ee' p_e p_e' / 2."""
+    p = [other[j] for j in partner]
+    z1 = 0j
+    for pe, h, row in zip(p, b, rows):
+        for f, q in row:
+            h += q * r[f]
+        z1 += pe * h
+    z2 = 0j
+    for i, j, q in block:
+        z2 += q * p[i] * p[j]
+    return z1, z2, p
 
 
 def _cis(a: np.ndarray) -> np.ndarray:
@@ -412,166 +429,98 @@ def _maximize_profiles(z1: np.ndarray, z2: np.ndarray, wanted: np.ndarray) -> np
     return a
 
 
-class _AngleBatch:
-    """Restrictions of one game as the rows of one coordinate ascent, every
-    row in the full game's edge layout: row i*starts + j runs start j of
-    restriction i.  A restriction's objective is _AngleProblem's quadratic
-    form with zero b and Q on the edges it lacks; the keys it lacks are
-    never updated.  Per row, the ascent keeps the sweep order, the
-    maximiser and the stop rule of _optimize_one.  Arrays keep the row
-    index last, so one key or edge of every row is a contiguous slice."""
-
-    def __init__(self, game: GameSpec, restrictions: list):
-        full = _AngleProblem(game)
-        self.keys, self.ends = full.keys, [np.array(end) for end in full.ends]
-        depth, n_edges, n_pairs = game.depth, len(full.b), len(game.pairs)
-        index = [{x: i for i, x in enumerate(ks)} for ks in self.keys]
-        edge = {ij: e for e, ij in enumerate(zip(*full.ends))}
-        # per pair, unnormalised: b with c as a last entry, Q, and the keys it asks
-        linear = np.zeros((n_pairs, n_edges + 1))
-        quad = np.zeros((n_pairs, n_edges, n_edges))
-        asks = [np.zeros((n_pairs, len(ks))) for ks in self.keys]
-        for p, ((qa, qb, _), t) in enumerate(zip(game.pairs, game.targets)):
-            legs = []
-            for j in range(depth):
-                i, k = index[0][qa[j]], index[1][qb[j]]
-                asks[0][p, i] = asks[1][p, k] = 1.0
-                e, sign = edge[i, k], 1.0 - 2.0 * ((t >> j) & 1)
-                linear[p, e] += 0.5**depth * sign
-                legs.append((e, sign))
-            linear[p, -1] = 0.5**depth
-            if depth == 2:
-                (e0, s0), (e1, s1) = legs
-                quad[p, e0, e1] += 0.125 * s0 * s1
-                quad[p, e1, e0] += 0.125 * s0 * s1
-        names = [(qa, qb) for qa, qb, _ in game.pairs]
-        keeps = (None if r is None else set(r) for r in restrictions)
-        kept = np.array([[keep is None or q in keep for q in names] for keep in keeps], dtype=float)
-        weight = kept * np.array([float(w) for _, _, w in game.pairs])
-        total = weight.sum(axis=1, keepdims=True)
-        if not total.all():
-            raise QuantumError("no surviving question pairs to optimize over")
-        weight /= total
-        b = (weight @ linear).T
-        Q = (weight @ quad.reshape(n_pairs, -1)).T.reshape(n_edges, n_edges, -1)
-        self.present = [(kept @ ask > 0).T for ask in asks]
-        # objective = r1.(A r1) for r1 = (r, 1): A = [[Q, b/2], [b/2, c]]
-        self.A = np.zeros((n_edges + 1, n_edges + 1, len(restrictions)))
-        self.A[:-1, :-1] = Q
-        self.A[:-1, -1] = self.A[-1, :-1] = b[:-1] / 2
-        self.A[-1, -1] = b[-1]
-        # per angle: its incident edges, their partner keys and the pairs
-        # i <= j of them; then per restriction the rows [2Q off the incident
-        # columns | b] giving z1, the z2 coefficients of the pairs (Q/2 when
-        # i == j), and whether the restriction has this key
-        self.tables = []
-        for side in (0, 1):
-            for k, (inc, partner, *_) in enumerate(full.touch[side]):
-                inc = np.array(inc)
-                rows = np.concatenate([2.0 * Q[inc], b[inc, None]], axis=1)
-                rows[:, inc] = 0.0
-                i, j = np.triu_indices(len(inc))
-                coef = (Q[inc[i], inc[j]] * np.where(i == j, 0.5, 1.0)[:, None]).astype(complex)
-                self.tables.append(((side, k, inc, np.array(partner), i, j), (rows, coef, self.present[side][k])))
-
-    def optimize(self, seeds: list, starts: int, sweeps: int, tol: float, inits) -> list:
-        """optimize_angles of every restriction, seeds[i] drawing its random starts."""
-        rows = np.repeat(np.arange(len(seeds)), starts)
-        angles = [np.zeros((len(ks), len(rows))) for ks in self.keys]
-        for i, seed in enumerate(seeds):
-            keys = [[q for q, on in zip(ks, here[:, i]) if on] for ks, here in zip(self.keys, self.present)]
-            for j, start in enumerate(_start_list(keys, seed, starts, inits)):
-                for side in (0, 1):
-                    angles[side][self.present[side][:, i], i * starts + j] = start[side]
-        values, angles = self._ascend(rows, angles, sweeps, tol)
-        out = []
-        for i, row in enumerate(values.reshape(-1, starts).argmax(axis=1) + np.arange(0, len(rows), starts)):
-            tables = (
-                {q: float(a) for q, a, on in zip(ks, side[:, row], here[:, i]) if on}
-                for ks, side, here in zip(self.keys, angles, self.present)
-            )
-            strategy = QubitStrategy(bell_phase_state(0.0), *tables)
-            out.append({"value": float(values[row]), "strategy": strategy, "starts": starts})
-        return out
-
-    def _ascend(self, rows: np.ndarray, angles: list, sweeps: int, tol: float) -> tuple:
-        """Sweeps of Gauss-Seidel updates over the rows from the start angles;
-        a row drops out of the working arrays once a sweep gains less than
-        tol.  Returns every row's last value and angles."""
-        phase = [_cis(a) for a in angles]
-        r1 = np.ones((len(self.ends[0]) + 1, len(rows)))
-        r1[:-1] = (phase[0][self.ends[0]] * phase[1][self.ends[1]]).real
-        A = self.A[..., rows]
-        tables = [(fixed, [x[..., rows] for x in per_row]) for fixed, per_row in self.tables]
-        value = _forms(A, r1)
-        final = (value.copy(), [a.copy() for a in angles])
-        live = np.arange(len(rows))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for sweep in range(sweeps):
-                for (side, k, inc, partner, i, j), (M, coef, on) in tables:
-                    p = phase[1 - side][partner]
-                    z1 = (p * np.einsum("ier,er->ir", M, r1)).sum(axis=0)
-                    z2 = (p[i] * p[j] * coef).sum(axis=0)
-                    a = np.where(on, _maximize_profiles(z1, z2, on), angles[side][k])
-                    angles[side][k] = a
-                    phase[side][k] = w = _cis(a)
-                    r1[inc] = (w * p).real
-                value, previous = _forms(A, r1), value
-                going = ~(value - previous < tol) & (sweep + 1 < sweeps)
-                if going.all():
-                    continue
-                final[0][live] = value
-                for side in (0, 1):
-                    final[1][side][:, live] = angles[side]
-                if not going.any():
-                    break
-                live, value, A, r1 = live[going], value[going], A[..., going], r1[:, going]
-                angles, phase = [a[:, going] for a in angles], [f[:, going] for f in phase]
-                for _, per_row in tables:  # one table at a time, so old and new never all coexist
-                    per_row[:] = [x[..., going] for x in per_row]
-        return final
-
-
 def _forms(A: np.ndarray, r1: np.ndarray) -> np.ndarray:
     return (r1 * np.einsum("efr,fr->er", A, r1)).sum(axis=0)
 
 
-def _start_list(keys, seed: int, starts: int, inits) -> list:
-    """The inits' angles on keys (0 where a table lacks a key), then random
-    starts drawn per side from default_rng(seed), up to `starts` in all."""
-    rng = np.random.default_rng(seed)
-    start_list = [
-        tuple([float(table.get(q, 0.0)) for q in ks] for table, ks in zip(init, keys))
-        for init in inits or []
-    ]
-    while len(start_list) < starts:
-        start_list.append(tuple(rng.uniform(0, 2 * math.pi, len(ks)).tolist() for ks in keys))
-    return start_list
+def _optimize_one(forms: _AngleForms, i: int, seed: int, starts: int, sweeps: int, tol: float, inits) -> dict:
+    """The scalar kernel: restriction i of forms, its starts one after
+    another on Python lists.  A sweep updates the keys the restriction asks,
+    Alice's then Bob's in key order; a start stops once a sweep gains less
+    than tol, and the first best start wins."""
+    A, tables = np.ascontiguousarray(forms.A[..., i]), forms.scalar_tables(i)
+    ends = [end.tolist() for end in forms.ends]
 
+    def objective(r: list) -> float:
+        r = np.array(r)
+        return float(r.dot(A.dot(r)))
 
-def _optimize_one(game: GameSpec, seed: int, starts: int, sweeps: int, tol: float, restrict_pairs, inits) -> dict:
-    """The scalar kernel: one restriction, its starts one after another."""
-    problem = _AngleProblem(game, restrict_pairs)
-    keys = problem.keys
-    start_list = _start_list(keys, seed, starts, inits)
     best_value, best_angles = -1.0, None
-    for start in start_list:
-        angles = [list(a) for a in start]
+    for start in forms.starts(i, seed, starts, inits):
+        angles = [a.tolist() for a in start]
         phase = [[cmath.exp(1j * x) for x in a] for a in angles]
-        r = problem.edge_values(phase)
-        value = problem.objective(r)
+        r = [(phase[0][j] * phase[1][k]).real for j, k in zip(*ends)] + [1.0]
+        value = objective(r)
         for _ in range(sweeps):
-            for side in (0, 1):
-                for k in range(len(keys[side])):
-                    angles[side][k] = problem.update(phase, r, side, k)
-            value, previous = problem.objective(r), value
+            for side, k, inc, terms in tables:
+                z1, z2, p = _profile(phase[1 - side], r, *terms)
+                angles[side][k] = a = _maximize_profile(z1, z2)
+                phase[side][k] = w = cmath.exp(1j * a)
+                for e, pe in zip(inc, p):
+                    r[e] = (w * pe).real
+            value, previous = objective(r), value
             if value - previous < tol:
                 break
         if value > best_value:
             best_value, best_angles = value, angles
-    tables = (dict(zip(ks, a)) for ks, a in zip(keys, best_angles))
-    strategy = QubitStrategy(bell_phase_state(0.0), *tables)
-    return {"value": float(best_value), "strategy": strategy, "starts": len(start_list)}
+    return {"value": best_value, "strategy": forms.strategy(i, best_angles), "starts": starts}
+
+
+def _optimize_batch(forms: _AngleForms, seeds: list, starts: int, sweeps: int, tol: float, inits) -> list:
+    """_optimize_one of every restriction of forms, all as the rows of one
+    coordinate ascent: row i*starts + j runs start j of restriction i, with
+    the same sweep order, maximiser and stop rule per row."""
+    rows = np.repeat(np.arange(len(seeds)), starts)
+    angles = [np.zeros((len(ks), len(rows))) for ks in forms.keys]
+    for i, seed in enumerate(seeds):
+        for j, start in enumerate(forms.starts(i, seed, starts, inits)):
+            for side in (0, 1):
+                angles[side][:, i * starts + j] = start[side]
+    values, angles = _ascend(forms, rows, angles, sweeps, tol)
+    out = []
+    for i, row in enumerate(values.reshape(-1, starts).argmax(axis=1) + np.arange(0, len(rows), starts)):
+        strategy = forms.strategy(i, [side[:, row] for side in angles])
+        out.append({"value": float(values[row]), "strategy": strategy, "starts": starts})
+    return out
+
+
+def _ascend(forms: _AngleForms, rows: np.ndarray, angles: list, sweeps: int, tol: float) -> tuple:
+    """Sweeps of Gauss-Seidel updates over the rows (row index last) from
+    the start angles, never updating a key a row's restriction lacks; a row
+    drops out of the working arrays once a sweep gains less than tol.
+    Returns every row's last value and angles."""
+    phase = [_cis(a) for a in angles]
+    r1 = np.ones((len(forms.ends[0]) + 1, len(rows)))
+    r1[:-1] = (phase[0][forms.ends[0]] * phase[1][forms.ends[1]]).real
+    A = forms.A[..., rows]
+    tables = [(fixed, [x[..., rows] for x in per_row]) for fixed, per_row in forms.tables]
+    value = _forms(A, r1)
+    final = (value.copy(), [a.copy() for a in angles])
+    live = np.arange(len(rows))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for sweep in range(sweeps):
+            for (side, k, inc, partner, i, j), (M, coef, on) in tables:
+                p = phase[1 - side][partner]
+                z1 = (p * np.einsum("ier,er->ir", M, r1)).sum(axis=0)
+                z2 = (p[i] * p[j] * coef).sum(axis=0)
+                a = np.where(on, _maximize_profiles(z1, z2, on), angles[side][k])
+                angles[side][k] = a
+                phase[side][k] = w = _cis(a)
+                r1[inc] = (w * p).real
+            value, previous = _forms(A, r1), value
+            going = ~(value - previous < tol) & (sweep + 1 < sweeps)
+            if going.all():
+                continue
+            final[0][live] = value
+            for side in (0, 1):
+                final[1][side][:, live] = angles[side]
+            if not going.any():
+                break
+            live, value, A, r1 = live[going], value[going], A[..., going], r1[:, going]
+            angles, phase = [a[:, going] for a in angles], [f[:, going] for f in phase]
+            for _, per_row in tables:  # one table at a time, so old and new never all coexist
+                per_row[:] = [x[..., going] for x in per_row]
+    return final
 
 
 def optimize_restrictions(
@@ -584,14 +533,17 @@ def optimize_restrictions(
     inits: Optional[list] = None,
 ) -> list:
     """optimize_angles(game, seeds[i], starts, sweeps, tol, restrictions[i],
-    inits) for every i.  From BATCH_MIN_ROWS rows (restrictions times
-    starts) on, all of them run as one batched coordinate ascent."""
+    inits) for every i.  One _AngleForms holds every restriction's
+    objective; from BATCH_MIN_ROWS rows (restrictions times starts) on, all
+    of them run as one batched coordinate ascent, below it the scalar
+    kernel runs each restriction."""
     if len(restrictions) != len(seeds):
         raise QuantumError("one seed per restriction")
-    starts = max(starts, len(inits or []))  # every init runs, as in _optimize_one
+    starts = max(starts, len(inits or []))  # every init runs
+    forms = _AngleForms(game, restrictions)
     if len(restrictions) * starts < BATCH_MIN_ROWS:
-        return [_optimize_one(game, s, starts, sweeps, tol, keep, inits) for keep, s in zip(restrictions, seeds)]
-    return _AngleBatch(game, restrictions).optimize(seeds, starts, sweeps, tol, inits)
+        return [_optimize_one(forms, i, seed, starts, sweeps, tol, inits) for i, seed in enumerate(seeds)]
+    return _optimize_batch(forms, seeds, starts, sweeps, tol, inits)
 
 
 def optimize_angles(

@@ -56,8 +56,8 @@ class TorusGraph:
         """Validate the shape and every removed edge.  A ``frozenset`` of
         edges of ``torus_edges(n, d)`` is valid as a whole (the set holds
         no duplicates), so it is accepted by one subset test; any other
-        input is checked edge by edge.  An empty removal needs no edge
-        table, which would take O(n^d) memory to build."""
+        input is checked edge by edge and kept as a frozenset.  An empty
+        removal needs no edge table, which takes O(n^d) memory to build."""
         if self.n < 2:
             raise TorusError("side length must be at least 2")
         if self.d < 1:
@@ -75,6 +75,7 @@ class TorusGraph:
             if edge in seen:
                 raise TorusError(f"duplicate removed edge {edge!r}")
             seen.add(edge)
+        object.__setattr__(self, "removed", frozenset(seen))
 
     # -- basic structure ---------------------------------------------------
 

@@ -138,6 +138,21 @@ def test_sample_unknown_law():
         sample_torical_graph(3, 2, {"kind": "bogus"}, rng)
 
 
+@pytest.mark.parametrize(
+    "law",
+    [
+        {},
+        {"kind": "uniform-size"},
+        {"kind": "uniform-size-range", "low": 1},
+        {"kind": "uniform-edge-fraction", "high": 0.5},
+    ],
+)
+def test_sample_rejects_law_missing_kind_or_keys(law):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ExperimentError, match="unknown removal law"):
+        sample_torical_graph(3, 2, law, rng)
+
+
 @pytest.mark.parametrize("size", [-1, 19])
 def test_sample_size_outside_edge_count(size):
     rng = np.random.default_rng(0)

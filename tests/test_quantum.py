@@ -12,9 +12,11 @@ from oddcycle.quantum import (
     MeasurementBasis,
     QuantumError,
     QubitStrategy,
-    _AngleBatch,
-    _AngleProblem,
+    _AngleForms,
+    _forms,
     _maximize_profile,
+    _optimize_batch,
+    _profile,
     bell_phase_state,
     bias_and_approximality,
     canonical_odd_cycle_strategy,
@@ -306,28 +308,36 @@ def _surviving_pairs(game, rng):
 def test_angle_objective_and_profile_match_oracle(game, restricted):
     rng = np.random.default_rng(17)
     keep = _surviving_pairs(game, rng) if restricted else None
-    problem = _AngleProblem(game, keep)
+    # column 0 feeds the scalar kernel; column 1, the full game, is another batch column
+    forms = _AngleForms(game, [keep, None])
 
-    def oracle(angles):
-        return angle_objective(game, *(dict(zip(ks, a)) for ks, a in zip(problem.keys, angles)), keep)
+    def oracle(angles, pairs=keep):
+        return angle_objective(game, *(dict(zip(ks, a)) for ks, a in zip(forms.keys, angles)), pairs)
 
     for _ in range(4):
-        angles = [rng.uniform(0, 2 * math.pi, len(ks)).tolist() for ks in problem.keys]
+        angles = [rng.uniform(0, 2 * math.pi, len(ks)).tolist() for ks in forms.keys]
         phase = [[cmath.exp(1j * a) for a in side] for side in angles]
-        r = problem.edge_values(phase)
-        assert abs(problem.objective(r) - oracle(angles)) < 1e-12
-    # in every angle, g(a) - g(a') from the kernel's (z1, z2) is the objective difference
-    for side, ks in enumerate(problem.keys):
-        for k in range(len(ks)):
-            z1, z2 = problem.profile(phase, r, side, k)
-            a, a2 = rng.uniform(0, 2 * math.pi, 2)
-            moved = [list(angles[0]), list(angles[1])]
-            values = []
-            for x in (a, a2):
-                moved[side][k] = x
-                values.append(oracle(moved))
-            g = [(z1 * cmath.exp(1j * x) + z2 * cmath.exp(2j * x)).real for x in (a, a2)]
-            assert abs((g[0] - g[1]) - (values[0] - values[1])) < 1e-12
+        alpha, beta = (np.array(a)[end] for a, end in zip(angles, forms.ends))
+        r = np.cos(alpha + beta).tolist() + [1.0]
+        value = _forms(forms.A, np.array([r, r]).T)
+        assert abs(value[0] - oracle(angles)) < 1e-12
+        assert abs(value[1] - oracle(angles, None)) < 1e-12
+    # in every angle the restriction asks, g(a) - g(a') from the kernel's
+    # (z1, z2) is the objective difference
+    tables = forms.scalar_tables(0)
+    kept = [(qa, qb) for qa, qb, _ in game.pairs if keep is None or (qa, qb) in keep]
+    asked = [(side, x) for side, qs in enumerate(zip(*kept)) for x in sorted({x for q in qs for x in q})]
+    assert [(side, forms.keys[side][k]) for side, k, *_ in tables] == asked
+    for side, k, _, terms in tables:
+        z1, z2, _ = _profile(phase[1 - side], r, *terms)
+        a, a2 = rng.uniform(0, 2 * math.pi, 2)
+        moved = [list(angles[0]), list(angles[1])]
+        values = []
+        for x in (a, a2):
+            moved[side][k] = x
+            values.append(oracle(moved))
+        g = [(z1 * cmath.exp(1j * x) + z2 * cmath.exp(2j * x)).real for x in (a, a2)]
+        assert abs((g[0] - g[1]) - (values[0] - values[1])) < 1e-12
 
 
 FINE_GRID = np.linspace(0.0, 2 * math.pi, 65536, endpoint=False)
@@ -389,18 +399,21 @@ def test_batched_restrictions_match_scalar_kernel(n, starts, sweeps):
     canonical = canonical_odd_cycle_strategy(n)
     inits = [(dict(canonical.alice_angles), dict(canonical.bob_angles))]
     seeds = [101 + i for i in range(len(cases))]
-    batched = _AngleBatch(game, cases).optimize(seeds, starts, sweeps, 1e-12, inits)
+    batched = _optimize_batch(_AngleForms(game, cases), seeds, starts, sweeps, 1e-12, inits)
     for keep, seed, got in zip(cases, seeds, batched):
         # fewer than BATCH_MIN_ROWS rows: optimize_angles runs the scalar kernel
         scalar = optimize_angles(game, seed=seed, starts=starts, sweeps=sweeps, restrict_pairs=keep, inits=inits)
         assert abs(got["value"] - scalar["value"]) < 1e-12
+        # both tabulate exactly the coordinates that the kept pairs ask
+        kept = [(qa, qb) for qa, qb, _ in game.pairs if keep is None or (qa, qb) in set(keep)]
+        asked = [{x for q in qs for x in q} for qs in zip(*kept)]
+        for strategy in (got["strategy"], scalar["strategy"]):
+            assert [set(strategy.alice_angles), set(strategy.bob_angles)] == asked
         strategy = got["strategy"]
-        assert set(strategy.alice_angles) == set(scalar["strategy"].alice_angles)
-        assert set(strategy.bob_angles) == set(scalar["strategy"].bob_angles)
         objective = angle_objective(game, strategy.alice_angles, strategy.bob_angles, keep)
         assert abs(objective - got["value"]) < 1e-12
     # a restriction's rows do not see the other restrictions of the batch
-    reverse = _AngleBatch(game, cases[::-1]).optimize(seeds[::-1], starts, sweeps, 1e-12, inits)
+    reverse = _optimize_batch(_AngleForms(game, cases[::-1]), seeds[::-1], starts, sweeps, 1e-12, inits)
     assert [r["value"] for r in reverse[::-1]] == [r["value"] for r in batched]
 
 
@@ -412,7 +425,7 @@ def test_optimize_restrictions_routes_by_row_count(monkeypatch):
         patched.setattr(quantum, "_optimize_one", lambda *a: pytest.fail("scalar kernel ran"))
         batched = optimize_restrictions(game, cases, seeds, starts=4)
     with monkeypatch.context() as patched:
-        patched.setattr(quantum, "_AngleBatch", lambda *a: pytest.fail("batch ran"))
+        patched.setattr(quantum, "_optimize_batch", lambda *a: pytest.fail("batch ran"))
         scalar = optimize_restrictions(game, cases[:2], seeds[:2], starts=4)
     for got, want in zip(batched, scalar):
         assert abs(got["value"] - want["value"]) < 1e-12

@@ -444,6 +444,17 @@ def test_graph_validation_rejects_duplicate_edge_in_list():
         TorusGraph(3, 2, [((1, 2), 0), ((0, 0), 1), ((1, 2), 0)])
 
 
+@pytest.mark.parametrize("container", [list, set])
+def test_graph_stores_a_list_or_set_removal_as_frozenset(container):
+    edges = [((0, 0), 0), ((1, 2), 1)]
+    g = TorusGraph(3, 2, container(edges))
+    same = TorusGraph(3, 2, frozenset(edges))
+    assert isinstance(g.removed, frozenset)
+    assert g == same and hash(g) == hash(same)
+    assert g.remove([((2, 2), 0)]) == same.remove([((2, 2), 0)])
+    assert g.remove([((2, 2), 0)]).edge_count() == 18 - 3
+
+
 def test_graph_from_valid_frozenset_equals_graph_from_set():
     cut = transverse_cut_blocker(4, 3)
     fast = TorusGraph(4, 3, frozenset(cut))
