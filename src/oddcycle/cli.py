@@ -3,7 +3,7 @@
 One binary with subcommands {value, qvalue, repeat, pearls, blocker, foam,
 norms, experiment}.  Configuration precedence is flags > config file >
 defaults; the config file is JSON with optional global keys (seed, out,
-threads, format) and per-command sections.  Reports are emitted as
+threads) and per-command sections.  Reports are emitted as
 deterministic JSON (and CSV for sweeps) into the output directory and
 echoed to stdout; wall-clock timings go into a separate manifest file so
 that fixed-seed reports stay byte-identical.
@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 computation refusal (budget or sampling abort),
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import time
@@ -26,20 +27,17 @@ from .games import (
     StrategyError,
     classical_value_exact,
     classical_value_search,
-    evaluate_strategy,
     make_chsh_game,
     make_odd_cycle_game,
-    random_strategy,
     repetition_decay_check,
-    strategy_from_coordinate_rule,
 )
 from .quantum import (
     QuantumError,
     bias_and_approximality,
     canonical_odd_cycle_strategy,
-    optimize_angles,
+    optimize_angles,  # unused here; perfbench/spans.py traces this binding
     quantum_advantage_report,
-    win_probability,
+    win_probability,  # unused here; perfbench/spans.py traces this binding
 )
 from .regions import (
     RegionError,
@@ -73,32 +71,25 @@ USAGE_ERRORS = (GameError, TorusError, QuantumError, RegionError, ExperimentErro
 REFUSALS = (BudgetExceeded, SamplingError)
 
 
-def emit_report(result: dict, out_dir: Path, name: str, fmt: str = "json", csv_rows=None, csv_name=None) -> list:
-    """Write the report file(s); returns the written paths.  CSV rows use
-    the fixed sweep schema theta,ratio,phat,halfwidth."""
+def emit_report(result: dict, out_dir: Path, name: str, sweep_rows=()) -> list:
+    """Write the report and one sweep-n<k>.csv per n of the sweep rows;
+    returns the written paths.  CSV rows use the fixed sweep schema
+    theta,ratio,phat,halfwidth, with floats in the report's format."""
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
     report_path = out_dir / f"{name}.json"
     report_path.write_text(dumps(result, indent=2) + "\n")
     paths.append(report_path)
-    if fmt == "csv" or csv_rows is not None:
-        rows = csv_rows or []
-        by_n: dict = {}
-        for row in rows:
-            by_n.setdefault(row.get("n", ""), []).append(row)
-        for n_key, group in sorted(by_n.items()):
-            suffix = f"-n{n_key}" if n_key != "" else ""
-            csv_path = out_dir / f"{csv_name or name}{suffix}.csv"
-            lines = ["theta,ratio,phat,halfwidth"]
-            for row in group:
-                lines.append(
-                    ",".join(
-                        format(row[k], ".17g") if isinstance(row[k], float) else str(row[k])
-                        for k in ("theta", "ratio", "phat", "halfwidth")
-                    )
-                )
-            csv_path.write_text("\n".join(lines) + "\n")
-            paths.append(csv_path)
+    by_n: dict = {}
+    for row in sweep_rows:
+        by_n.setdefault(row["n"], []).append(row)
+    for n_key, group in sorted(by_n.items()):
+        lines = ["theta,ratio,phat,halfwidth"]
+        for row in group:
+            lines.append(",".join(str(row[k]) for k in ("theta", "ratio", "phat", "halfwidth")))
+        csv_path = out_dir / f"sweep-n{n_key}.csv"
+        csv_path.write_text("\n".join(lines) + "\n")
+        paths.append(csv_path)
     return paths
 
 
@@ -131,8 +122,6 @@ def _parse_steps(text: str) -> list:
 
 def _load_graph(args) -> TorusGraph:
     if getattr(args, "graph", None):
-        import json
-
         return TorusGraph.from_json(json.loads(Path(args.graph).read_text()))
     removed = frozenset()
     if getattr(args, "removed", "none") == "transverse":
@@ -337,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--threads", type=int, default=None, help="accepted; every command runs on one thread")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
 
     p = sub.add_parser("value", help="classical game values")
     common(p)
@@ -413,8 +401,6 @@ def _apply_config(args):
     """Fill unset options from the config file, then builtin defaults."""
     file_conf = {}
     if args.config:
-        import json
-
         file_conf = json.loads(Path(args.config).read_text())
     section = file_conf.get(args.command, {})
 
@@ -430,7 +416,6 @@ def _apply_config(args):
 
     args.seed = int(pick("seed", 0))
     args.threads = int(pick("threads", 1))
-    args.format = pick("format", "json")
     default_out = os.environ.get("ODDCYCLE_OUT", "reports")
     args.out = Path(pick("out", default_out))
     return args
@@ -454,9 +439,9 @@ def main(argv=None) -> int:
         args = _apply_config(args)
         timings = {}
         t0 = time.perf_counter()
-        csv_rows = None
+        sweep_rows = ()
         if args.command == "experiment":
-            result, csv_rows = _cmd_experiment(args)
+            result, sweep_rows = _cmd_experiment(args)
         else:
             result = HANDLERS[args.command](args)
         timings["compute"] = time.perf_counter() - t0
@@ -466,21 +451,13 @@ def main(argv=None) -> int:
             if k not in ("command", "config") and v is not None
         }
         # the identity covers result-determining parameters only: where the
-        # report lands, how many workers ran, and the emission format never
-        # change the computed bytes
-        identity = {k: v for k, v in params.items() if k not in ("out", "threads", "format")}
+        # report lands and how many workers ran never change the computed bytes
+        identity = {k: v for k, v in params.items() if k not in ("out", "threads")}
         result["manifest_id"] = digest(
             {"command": args.command, "params": identity, "seed": args.seed, "version": __version__}
         )
         t1 = time.perf_counter()
-        outputs = emit_report(
-            result,
-            args.out,
-            f"{args.command}-report",
-            fmt=args.format,
-            csv_rows=csv_rows,
-            csv_name="sweep",
-        )
+        outputs = emit_report(result, args.out, f"{args.command}-report", sweep_rows)
         timings["emit"] = time.perf_counter() - t1
         _write_manifest(args.out, args.command, params, args.seed, timings, outputs, result["manifest_id"])
         sys.stdout.write(dumps(result, indent=2) + "\n")

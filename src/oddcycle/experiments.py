@@ -553,6 +553,13 @@ def estimate_events(config: ExperimentConfig) -> ExperimentReport:
             "acceptance_rate": count / max(1, sum(r["attempts"] for r in records)),
             "theta_grid": list(config.theta_grid),
         }
+
+        def share(hit) -> float:
+            return sum(1 for r in used if hit(r)) / count if count else 0.0
+
+        def mean(key):
+            return float(np.mean([r[key] for r in used])) if used else None
+
         for name, key in (
             ("P_E1", "E1"),
             ("P_E2", "E2"),
@@ -560,41 +567,28 @@ def estimate_events(config: ExperimentConfig) -> ExperimentReport:
             ("P_E3_quotient", "E3_quotient"),
             ("P_foam", "foam_event"),
         ):
-            p_hat = sum(1 for r in used if r[key]) / count if count else 0.0
+            p_hat = share(lambda r: r[key])
             agg[name] = p_hat
             agg[name + "_halfwidth"] = binomial_halfwidth(p_hat, count)
         agg["event_frequencies"] = {
-            key: sum(1 for r in used if r["foam_events_detail"][key]) / count if count else 0.0
+            key: share(lambda r: r["foam_events_detail"][key])
             for key in ("e1_foam_nonempty", "e2_vertex_bound", "e3_section_strict", "e4_diamond_bound")
         }
-        sweep_phat = []
-        sweep_half = []
-        for pos in range(len(config.theta_grid)):
-            p_hat = sum(1 for r in used if r["sweep"][pos]) / count if count else 0.0
-            sweep_phat.append(p_hat)
-            sweep_half.append(binomial_halfwidth(p_hat, count))
+        sweep_phat = [share(lambda r: r["sweep"][pos]) for pos in range(len(config.theta_grid))]
         agg["sweep_phat"] = sweep_phat
-        agg["sweep_halfwidth"] = sweep_half
+        agg["sweep_halfwidth"] = [binomial_halfwidth(p_hat, count) for p_hat in sweep_phat]
         # larger theta tightens the sandwich, so the sweep must be
         # nonincreasing along the sorted grid
         ordered = sorted(zip(config.theta_grid, sweep_phat))
         if any(a[1] < b[1] - 1e-12 for a, b in zip(ordered, ordered[1:])):
             raise ExperimentError(f"n={n}: threshold sweep not nonincreasing: {ordered}")
-        agg["possibility_frequencies"] = {
-            str(k): sum(1 for r in used if r["possibility"] == k) / count if count else 0.0
-            for k in (1, 2, 3)
-        }
+        agg["possibility_frequencies"] = {str(k): share(lambda r: r["possibility"] == k) for k in (1, 2, 3)}
         agg["possibility_4_observed"] = False  # count ratio >= 1 is asserted per sample
         for key in ("P_E3_difference", "P_E3_quotient"):
             foam = agg["P_foam"]
             agg[key + "_over_P_foam"] = (agg[key] / foam) if foam > 0 else None
-        agg["mean_R_theorem"] = float(np.mean([r["R_theorem"] for r in used])) if used else None
-        agg["mean_R_proof"] = float(np.mean([r["R_proof"] for r in used])) if used else None
-        agg["mean_prefactor_product"] = (
-            float(np.mean([r["prefactor_product"] for r in used])) if used else None
-        )
-        agg["mean_count_ratio"] = float(np.mean([r["count_ratio"] for r in used])) if used else None
-        agg["mean_giant_ratio"] = float(np.mean([r["giant_ratio"] for r in used])) if used else None
+        for key in ("R_theorem", "R_proof", "prefactor_product", "count_ratio", "giant_ratio"):
+            agg["mean_" + key] = mean(key)
         per_n[str(n)] = agg
         all_samples.extend(records)
     foam = foam_probes(

@@ -1,16 +1,18 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oddcycle
 from oddcycle import cli
 from oddcycle.cli import main
+from oddcycle.experiments import estimate_events
 from oddcycle.serialize import dumps
 
 
@@ -163,7 +165,9 @@ def test_foam_subcommand(tmp_path, capsys):
     assert data["frequencies"]["P1"] == 1.0
 
 
-def test_experiment_csv_and_byte_identical_reruns(tmp_path, capsys):
+def test_experiment_csv_and_byte_identical_reruns(tmp_path, capsys, monkeypatch):
+    reports = []
+    monkeypatch.setattr(cli, "estimate_events", lambda config: reports.append(estimate_events(config)) or reports[-1])
     args = [
         "experiment", "--n-values", "3", "--samples", "6", "--seed", "7", "--threads", "2",
     ]
@@ -179,6 +183,25 @@ def test_experiment_csv_and_byte_identical_reruns(tmp_path, capsys):
     csv_text = (out_a / "sweep-n3.csv").read_text().splitlines()
     assert csv_text[0] == "theta,ratio,phat,halfwidth"
     assert len(csv_text) == 7  # six grid points
+    # every CSV float parses back to exactly the value the report computed
+    rows = reports[0].sweep_rows()
+    assert len(rows) == 6
+    for line, row in zip(csv_text[1:], rows):
+        for cell, key in zip(line.split(","), ("theta", "ratio", "phat", "halfwidth")):
+            assert isinstance(row[key], float)
+            assert float(cell) == row[key], (key, cell, row[key])
+
+
+def test_format_flag_is_gone(tmp_path, capsys):
+    argv = ["experiment", "--n-values", "3", "--samples", "4", "--out", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--format", "csv"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+    assert not tmp_path.joinpath("experiment-report.json").exists()
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert (tmp_path / "sweep-n3.csv").exists()
 
 
 def test_experiment_report_bytes_do_not_depend_on_threads(tmp_path, capsys):
@@ -212,17 +235,44 @@ def test_report_round_trips_through_json(tmp_path, capsys):
 
 
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
     max_leaves=20,
 )
 
 
+def identical(a, b) -> bool:
+    """a == b with equal types at every level, equal signs of zero, and NaN
+    matching NaN."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(identical(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(identical, a, b))
+    if isinstance(a, float):
+        return (math.isnan(a) and math.isnan(b)) or (a == b and math.copysign(1, a) == math.copysign(1, b))
+    return a == b
+
+
 @given(JSON_VALUES)
+@example(1.0)
+@example(-0.0)
+@example(1e16)
+@example(2.0**53)
+@example(0.1)
+@example({"x": [1.0, -0.0, 2], "y": 0.0})
+@example([math.nan, math.inf, -math.inf])
 def test_dumps_round_trips_through_json_loads(value):
-    # strings keep every escape, floats come back exactly from 17 digits
-    assert json.loads(dumps(value)) == value
-    assert json.loads(dumps(value, indent=2)) == value
+    # strings keep every escape; floats come back exactly, as floats, with
+    # the sign of a zero
+    assert identical(json.loads(dumps(value)), value)
+    assert identical(json.loads(dumps(value, indent=2)), value)
+
+
+def test_dumps_float_tokens():
+    assert dumps([1.0, -0.0, 1e16, 2.0**53, 0.1]) == "[1.0, -0.0, 1e+16, 9007199254740992.0, 0.1]"
+    assert dumps([math.nan, math.inf, -math.inf]) == "[NaN, Infinity, -Infinity]"
 
 
 def test_config_file_precedence(tmp_path, capsys):
