@@ -2,8 +2,9 @@
 
 One binary with subcommands {value, qvalue, repeat, pearls, blocker, foam,
 norms, experiment}.  Configuration precedence is flags > config file >
-defaults; the config file is JSON with optional global keys (seed, out,
-threads) and per-command sections.  Reports are emitted as
+defaults; the config file is a JSON object with optional global keys
+(seed, out, threads) and per-command sections over the same keys, and
+anything else in it is a usage error.  Reports are emitted as
 deterministic JSON (and CSV for sweeps) into the output directory and
 echoed to stdout; wall-clock timings go into a separate manifest file so
 that fixed-seed reports stay byte-identical.
@@ -120,9 +121,19 @@ def _parse_steps(text: str) -> list:
     return steps
 
 
+def _read_json(path: str):
+    """The JSON value in a file named on the command line; a file that
+    cannot be read is a usage error."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
+    return json.loads(text)
+
+
 def _load_graph(args) -> TorusGraph:
     if getattr(args, "graph", None):
-        return TorusGraph.from_json(json.loads(Path(args.graph).read_text()))
+        return TorusGraph.from_json(_read_json(args.graph))
     removed = frozenset()
     if getattr(args, "removed", "none") == "transverse":
         removed = transverse_cut_blocker(args.n, args.d)
@@ -231,19 +242,8 @@ def _cmd_pearls(args) -> dict:
     if args.grow:
         g = _load_graph(args)
         growth = grow_consistent_cycle(g, table, seed=args.seed, max_points=args.max_points)
-        out["growth"] = {
-            "center": list(growth["center"]),
-            "points": [list(p) for p in growth["points"]],
-            "completed": growth["completed"],
-            "even": growth["even"],
-            "homotopy_zero": growth["homotopy_zero"],
-            "consistent": growth["consistent"],
-            "trace": [
-                {k: (list(v) if isinstance(v, tuple) else v) for k, v in ev.items()}
-                for ev in growth["trace"]
-            ],
-            "diagnostic": growth["diagnostic"],
-        }
+        keys = ("center", "points", "completed", "even", "homotopy_zero", "consistent", "trace", "diagnostic")
+        out["growth"] = {k: growth[k] for k in keys}
     return out
 
 
@@ -397,27 +397,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+CONFIG_KEYS = {"seed": int, "threads": int, "out": Path}
+
+
+def _check_config(conf, where: str, sections=()):
+    if not isinstance(conf, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    for key, value in conf.items():
+        if key in sections:
+            _check_config(value, f"config section {key!r}")
+        elif key not in CONFIG_KEYS:
+            raise ValueError(f"{where}: unknown key {key!r} (allowed: {', '.join([*CONFIG_KEYS, *sections])})")
+
+
 def _apply_config(args):
-    """Fill unset options from the config file, then builtin defaults."""
-    file_conf = {}
-    if args.config:
-        file_conf = json.loads(Path(args.config).read_text())
+    """Fill unset options from the config file, then builtin defaults.  The
+    file holds a JSON object over the keys seed, threads and out and the
+    command names; each command's section is an object over the same three
+    keys and wins over the global ones."""
+    file_conf = _read_json(args.config) if args.config else {}
+    _check_config(file_conf, "config", sections=(*HANDLERS, "experiment"))
     section = file_conf.get(args.command, {})
-
-    def pick(name, default):
-        current = getattr(args, name, None)
-        if current is not None:
-            return current
-        if name in section:
-            return section[name]
-        if name in file_conf:
-            return file_conf[name]
-        return default
-
-    args.seed = int(pick("seed", 0))
-    args.threads = int(pick("threads", 1))
-    default_out = os.environ.get("ODDCYCLE_OUT", "reports")
-    args.out = Path(pick("out", default_out))
+    defaults = {"seed": 0, "threads": 1, "out": os.environ.get("ODDCYCLE_OUT", "reports")}
+    for name, kind in CONFIG_KEYS.items():
+        value = getattr(args, name)
+        if value is None:
+            value = section.get(name, file_conf.get(name, defaults[name]))
+        try:
+            setattr(args, name, kind(value))
+        except (TypeError, ValueError):
+            raise ValueError(f"config: {name} = {value!r} is not a valid {name}") from None
     return args
 
 

@@ -26,7 +26,13 @@ from typing import Optional
 
 import numpy as np
 
-from .games import classical_value_exact, classical_value_search, make_odd_cycle_game
+from .games import (
+    classical_value_exact,
+    classical_value_search,
+    evaluate_strategy,
+    make_odd_cycle_game,
+    strategy_from_coordinate_rule,
+)
 from .quantum import canonical_odd_cycle_strategy, optimize_angles, optimize_restrictions
 from .torus import (
     BudgetExceeded,
@@ -192,38 +198,23 @@ def sample_torical_graph(n: int, d: int, removal_law: dict, rng) -> dict:
 # -- restricted values ---------------------------------------------------------
 
 
-def restricted_values(
-    g: TorusGraph,
-    base_n: int,
-    d: int = 2,
-    classical_ref: Optional[Fraction] = None,
-    full_value: Optional[float] = None,
-    seed: int = 0,
-    starts: int = 8,
-    sweeps: int = 200,
-    contraction: Optional[ContractionMap] = None,
-) -> dict:
+def restricted_values(g: TorusGraph, base_n: int, d: int = 2, seed: int = 0, starts: int = 8, sweeps: int = 200) -> dict:
     """Quantum value of the full depth-d game vs the surviving-question
     subgame (renormalized distribution), plus the classical reference.
-    Suprema are heuristic angle optimizations (lower bounds); the full
-    value and classical reference may be passed in when cached."""
+    Suprema are heuristic angle optimizations (lower bounds)."""
     if g.n != base_n or g.d != d:
         raise ExperimentError("graph shape does not match the requested game")
-    if contraction is None:
-        contraction = contraction_map(g)
+    contraction = contraction_map(g)
     if contraction.image_count == 0:
         return {"degenerate": True, "contraction": contraction}
-    if full_value is None:
-        game, inits = _canonical_problem(base_n, d)
-        full_value = optimize_angles(game, seed=seed, starts=starts, sweeps=sweeps, inits=inits)["value"]
+    game, inits = _canonical_problem(base_n, d)
+    full_value = optimize_angles(game, seed=seed, starts=starts, sweeps=sweeps, inits=inits)["value"]
     (restricted,) = _restricted_optima(base_n, d, [contraction], [seed], starts, sweeps)
-    if classical_ref is None:
-        classical_ref = classical_reference(base_n, d)["value"]
     return {
         "degenerate": False,
         "q_full": float(full_value),
         "q_restricted": restricted,
-        "classical_ref": classical_ref,
+        "classical_ref": classical_reference(base_n, d)["value"],
         "contraction": contraction,
     }
 
@@ -246,13 +237,17 @@ def _restricted_optima(n: int, d: int, contractions: list, seeds: list, starts: 
 
 def classical_reference(n: int, d: int, seed: int = 0, iterations: int = 60_000) -> dict:
     """Classical value of the depth-d game: exact when the Alice-table
-    budget allows, else a labeled search lower bound."""
+    budget allows, else a labeled lower bound, the larger of the search
+    value and the exact value of the x mod 2 product witness."""
     game = make_odd_cycle_game(n, d)
     try:
         report = classical_value_exact(game)
         return {"value": report.exact, "method": report.method, "exact": True}
     except BudgetExceeded:
         report = classical_value_search(game, seed=seed, iterations=iterations)
+        witness = evaluate_strategy(game, strategy_from_coordinate_rule(game, lambda x: x % 2))
+        if witness > report.exact:
+            return {"value": witness, "method": "product-witness", "exact": False}
         return {"value": report.exact, "method": report.method, "exact": False}
 
 
@@ -672,6 +667,8 @@ def foam_probes(
         raise ExperimentError("foam probes are stated for n = 2")
     if d not in (2, 3):
         raise ExperimentError("foam probes are stated for d in {2, 3}")
+    if samples < 1:
+        raise ExperimentError("foam probes need at least one sample")
     rng = np.random.default_rng(seed)
     blocker = min_blocker(TorusGraph(n, d))
     surface_inf = blocker["size"]

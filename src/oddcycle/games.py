@@ -54,23 +54,6 @@ class GameSpec:
     def answers_per_question(self) -> int:
         return 1 << self.depth
 
-    def predicate(self, qa, qb, a: int, b: int) -> bool:
-        """Total win predicate over the declared alphabets.  Pairs outside
-        the support lose."""
-        t = self._target_lookup().get((tuple(qa), tuple(qb)))
-        if t is None:
-            return False
-        return (a ^ b) == t
-
-    def _target_lookup(self) -> dict:
-        if not hasattr(self, "_targets_by_pair"):
-            lookup = {
-                (qa, qb): t
-                for (qa, qb, _), t in zip(self.pairs, self.targets)
-            }
-            object.__setattr__(self, "_targets_by_pair", lookup)
-        return self._targets_by_pair
-
     def weight_total(self) -> Fraction:
         return sum((w for _, _, w in self.pairs), Fraction(0))
 

@@ -217,8 +217,8 @@ _RING_BASIS = np.stack([np.cos(_RING), -np.sin(_RING), np.cos(2 * _RING), -np.si
 NEWTON_STEPS = 3
 SINGLE_PEAK_STEPS = 8
 # rows (restrictions x starts) from which one batched ascent beats the
-# scalar kernel run per restriction; below it the per-update numpy call
-# overhead of the batch costs more than the Python loop
+# scalar ascent; below it the per-update numpy call overhead of the batch
+# costs more than the Python loop
 BATCH_MIN_ROWS = 32
 
 
@@ -292,13 +292,10 @@ class _AngleForms:
         self.ends = [np.array(end) for end in zip(*edges)]
         n_edges, pair = len(edges), np.arange(n_pairs)[:, None]
         signs = 1.0 - 2.0 * ((np.array(game.targets)[:, None] >> np.arange(depth)) & 1)
-        # per pair, unnormalised: b with c as a last entry, Q, and the keys it asks
+        # per pair, unnormalised: b with c as a last entry, and the keys it asks
         linear = np.zeros((n_pairs, n_edges + 1))
         np.add.at(linear, (pair, legs), 0.5**depth * signs)
         linear[:, -1] = 0.5**depth
-        quad = np.zeros((n_pairs, n_edges, n_edges))
-        if depth == 2:  # at (e0, e1) and at (e1, e0)
-            np.add.at(quad, (pair, legs, legs[:, ::-1]), 0.125 * signs.prod(axis=1, keepdims=True))
         asks = [np.zeros((n_pairs, len(ks))) for ks in self.keys]
         for ask, end in zip(asks, self.ends):
             ask[pair, end[legs]] = 1.0
@@ -310,11 +307,13 @@ class _AngleForms:
             raise QuantumError("no surviving question pairs to optimize over")
         weight /= total
         b = (weight @ linear).T
-        Q = (weight @ quad.reshape(n_pairs, -1)).T.reshape(n_edges, n_edges, -1)
         self.present = [(kept @ ask > 0).T for ask in asks]
         # objective = r1.(A r1) for r1 = (r, 1)
         self.A = np.zeros((n_edges + 1, n_edges + 1, len(restrictions)))
-        self.A[:-1, :-1] = Q
+        Q = self.A[:-1, :-1]
+        if depth == 2:  # a pair's legs identify it: at most two exact terms per entry
+            term = 0.125 * signs.prod(axis=1)[:, None] * weight.T
+            np.add.at(Q, (legs, legs[:, ::-1]), term[:, None])
         self.A[:-1, -1] = self.A[-1, :-1] = b[:-1] / 2
         self.A[-1, -1] = b[-1]
         # per angle, Alice's then Bob's in key order: its incident edges,
@@ -333,21 +332,23 @@ class _AngleForms:
                 fixed = (side, k, inc, self.ends[1 - side][inc], i, j)
                 self.tables.append((fixed, (rows, coef, self.present[side][k])))
 
-    def starts(self, i: int, seed: int, count: int, inits):
-        """Yield restriction i's start angles per side over all keys, 0 on
-        the keys it lacks.  On its keys: the inits' angles (0 where a table
-        lacks a key), then random starts drawn per side from
-        default_rng(seed), up to `count` in all."""
-        rng = np.random.default_rng(seed)
-        keys = [[q for q, on in zip(ks, here[:, i]) if on] for ks, here in zip(self.keys, self.present)]
-        drawn = [[[float(table.get(q, 0.0)) for q in ks] for table, ks in zip(init, keys)] for init in inits or []]
-        while len(drawn) < count:
-            drawn.append([rng.uniform(0, 2 * math.pi, len(ks)) for ks in keys])
-        for start in drawn:
-            angles = [np.zeros(len(ks)) for ks in self.keys]
-            for side, here in enumerate(self.present):
-                angles[side][here[:, i]] = start[side]
-            yield angles
+    def starts(self, seeds: list, count: int, inits) -> list:
+        """Per side, the start angles over all keys of every row (row index
+        last): row i*count + j is start j of restriction i, 0 on the keys it
+        lacks.  On its keys: the inits' angles (0 where a table lacks a
+        key), then random starts drawn per side from default_rng(seeds[i]),
+        up to `count` in all."""
+        angles = [np.zeros((len(ks), len(seeds) * count)) for ks in self.keys]
+        for i, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            keys = [[q for q, on in zip(ks, here[:, i]) if on] for ks, here in zip(self.keys, self.present)]
+            drawn = [[[float(table.get(q, 0.0)) for q in ks] for table, ks in zip(init, keys)] for init in inits or []]
+            while len(drawn) < count:
+                drawn.append([rng.uniform(0, 2 * math.pi, len(ks)) for ks in keys])
+            for j, start in enumerate(drawn):
+                for side, here in enumerate(self.present):
+                    angles[side][here[:, i], i * count + j] = start[side]
+        return angles
 
     def strategy(self, i: int, angles) -> QubitStrategy:
         """The strategy of per-side angles over all keys, tabled on the keys
@@ -433,55 +434,39 @@ def _forms(A: np.ndarray, r1: np.ndarray) -> np.ndarray:
     return (r1 * np.einsum("efr,fr->er", A, r1)).sum(axis=0)
 
 
-def _optimize_one(forms: _AngleForms, i: int, seed: int, starts: int, sweeps: int, tol: float, inits) -> dict:
-    """The scalar kernel: restriction i of forms, its starts one after
-    another on Python lists.  A sweep updates the keys the restriction asks,
-    Alice's then Bob's in key order; a start stops once a sweep gains less
-    than tol, and the first best start wins."""
-    A, tables = np.ascontiguousarray(forms.A[..., i]), forms.scalar_tables(i)
+def _ascend_scalar(forms: _AngleForms, rows: np.ndarray, angles: list, sweeps: int, tol: float) -> tuple:
+    """_ascend on Python lists, one row after another: a sweep updates the
+    keys the row's restriction asks, Alice's then Bob's in key order, and a
+    row stops once a sweep gains less than tol.  Below BATCH_MIN_ROWS rows
+    this loop beats the per-update numpy calls of the batch."""
     ends = [end.tolist() for end in forms.ends]
+    values, angles = np.empty(len(rows)), [a.copy() for a in angles]
+    for i in dict.fromkeys(rows.tolist()):
+        A, tables = np.ascontiguousarray(forms.A[..., i]), forms.scalar_tables(i)
 
-    def objective(r: list) -> float:
-        r = np.array(r)
-        return float(r.dot(A.dot(r)))
+        def objective(r: list) -> float:
+            r = np.array(r)
+            return float(r.dot(A.dot(r)))
 
-    best_value, best_angles = -1.0, None
-    for start in forms.starts(i, seed, starts, inits):
-        angles = [a.tolist() for a in start]
-        phase = [[cmath.exp(1j * x) for x in a] for a in angles]
-        r = [(phase[0][j] * phase[1][k]).real for j, k in zip(*ends)] + [1.0]
-        value = objective(r)
-        for _ in range(sweeps):
-            for side, k, inc, terms in tables:
-                z1, z2, p = _profile(phase[1 - side], r, *terms)
-                angles[side][k] = a = _maximize_profile(z1, z2)
-                phase[side][k] = w = cmath.exp(1j * a)
-                for e, pe in zip(inc, p):
-                    r[e] = (w * pe).real
-            value, previous = objective(r), value
-            if value - previous < tol:
-                break
-        if value > best_value:
-            best_value, best_angles = value, angles
-    return {"value": best_value, "strategy": forms.strategy(i, best_angles), "starts": starts}
-
-
-def _optimize_batch(forms: _AngleForms, seeds: list, starts: int, sweeps: int, tol: float, inits) -> list:
-    """_optimize_one of every restriction of forms, all as the rows of one
-    coordinate ascent: row i*starts + j runs start j of restriction i, with
-    the same sweep order, maximiser and stop rule per row."""
-    rows = np.repeat(np.arange(len(seeds)), starts)
-    angles = [np.zeros((len(ks), len(rows))) for ks in forms.keys]
-    for i, seed in enumerate(seeds):
-        for j, start in enumerate(forms.starts(i, seed, starts, inits)):
+        for row in np.flatnonzero(rows == i).tolist():
+            at = [side[:, row].tolist() for side in angles]
+            phase = [[cmath.exp(1j * x) for x in a] for a in at]
+            r = [(phase[0][j] * phase[1][k]).real for j, k in zip(*ends)] + [1.0]
+            value = objective(r)
+            for _ in range(sweeps):
+                for side, k, inc, terms in tables:
+                    z1, z2, p = _profile(phase[1 - side], r, *terms)
+                    at[side][k] = a = _maximize_profile(z1, z2)
+                    phase[side][k] = w = cmath.exp(1j * a)
+                    for e, pe in zip(inc, p):
+                        r[e] = (w * pe).real
+                value, previous = objective(r), value
+                if value - previous < tol:
+                    break
+            values[row] = value
             for side in (0, 1):
-                angles[side][:, i * starts + j] = start[side]
-    values, angles = _ascend(forms, rows, angles, sweeps, tol)
-    out = []
-    for i, row in enumerate(values.reshape(-1, starts).argmax(axis=1) + np.arange(0, len(rows), starts)):
-        strategy = forms.strategy(i, [side[:, row] for side in angles])
-        out.append({"value": float(values[row]), "strategy": strategy, "starts": starts})
-    return out
+                angles[side][:, row] = at[side]
+    return values, angles
 
 
 def _ascend(forms: _AngleForms, rows: np.ndarray, angles: list, sweeps: int, tol: float) -> tuple:
@@ -534,16 +519,22 @@ def optimize_restrictions(
 ) -> list:
     """optimize_angles(game, seeds[i], starts, sweeps, tol, restrictions[i],
     inits) for every i.  One _AngleForms holds every restriction's
-    objective; from BATCH_MIN_ROWS rows (restrictions times starts) on, all
-    of them run as one batched coordinate ascent, below it the scalar
-    kernel runs each restriction."""
+    objective and row i*starts + j runs start j of restriction i; from
+    BATCH_MIN_ROWS rows on all rows run as one batched coordinate ascent,
+    below it one after another.  The first best start of each restriction
+    wins."""
     if len(restrictions) != len(seeds):
         raise QuantumError("one seed per restriction")
     starts = max(starts, len(inits or []))  # every init runs
     forms = _AngleForms(game, restrictions)
-    if len(restrictions) * starts < BATCH_MIN_ROWS:
-        return [_optimize_one(forms, i, seed, starts, sweeps, tol, inits) for i, seed in enumerate(seeds)]
-    return _optimize_batch(forms, seeds, starts, sweeps, tol, inits)
+    rows = np.repeat(np.arange(len(seeds)), starts)
+    ascend = _ascend if len(rows) >= BATCH_MIN_ROWS else _ascend_scalar
+    values, angles = ascend(forms, rows, forms.starts(seeds, starts, inits), sweeps, tol)
+    best = values.reshape(-1, starts).argmax(axis=1) + np.arange(0, len(rows), starts)
+    return [
+        {"value": float(values[row]), "strategy": forms.strategy(i, [side[:, row] for side in angles]), "starts": starts}
+        for i, row in enumerate(best.tolist())
+    ]
 
 
 def optimize_angles(

@@ -183,6 +183,8 @@ def diamond_norm(
         total = np.abs(left[:, None] + right[None, :]).sum()
         return {"value": float(total / (left.size * right.size)), "method": method}
     if method == "monte-carlo":
+        if samples < 1:
+            raise RegionError("monte-carlo needs at least one sample")
         rng = np.random.default_rng(seed)
         signs = rng.integers(0, 2, size=(samples, d)) * 2 - 1
         draws = np.abs(signs @ entries)

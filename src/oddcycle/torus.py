@@ -138,6 +138,8 @@ class TorusGraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "TorusGraph":
+        if not isinstance(data, dict) or not {"n", "d"} <= data.keys():
+            raise TorusError("a torus graph is a JSON object with keys n, d and optionally removed")
         removed = frozenset((tuple(v), a) for v, a in data.get("removed", []))
         return cls(int(data["n"]), int(data["d"]), removed)
 

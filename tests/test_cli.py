@@ -226,6 +226,31 @@ def test_experiment_rejects_bad_config_before_any_work(flags, tmp_path, capsys, 
     assert capsys.readouterr().err.startswith("error: ")
 
 
+NORMS = ["norms", "--diamond", "--vector", "1"]
+BAD_INPUTS = {
+    "config-missing": ({}, ["--config", "{tmp}/absent.json", *NORMS]),
+    "config-list": ({"conf.json": "[1, 2]"}, ["--config", "{tmp}/conf.json", *NORMS]),
+    "config-seed-null": ({"conf.json": '{"seed": null}'}, ["--config", "{tmp}/conf.json", *NORMS]),
+    "config-unknown-key": ({"conf.json": '{"sede": 5}'}, ["--config", "{tmp}/conf.json", *NORMS]),
+    "config-unknown-section-key": ({"conf.json": '{"value": {"format": "csv"}}'}, ["--config", "{tmp}/conf.json", *NORMS]),
+    "config-section-not-object": ({"conf.json": '{"norms": 5}'}, ["--config", "{tmp}/conf.json", *NORMS]),
+    "graph-missing": ({}, ["blocker", "--graph", "{tmp}/absent.json"]),
+    "graph-without-n": ({"graph.json": '{"d": 2, "removed": []}'}, ["blocker", "--graph", "{tmp}/graph.json"]),
+    "foam-samples-0": ({}, ["foam", "--samples", "0"]),
+    "mc-samples-0": ({}, [*NORMS, "--monte-carlo", "--mc-samples", "0"]),
+}
+
+
+@pytest.mark.parametrize("files, argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exits_2(files, argv, tmp_path, capsys):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    out = tmp_path / "out"
+    assert main([a.format(tmp=tmp_path) for a in argv] + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_report_round_trips_through_json(tmp_path, capsys):
     assert main(["value", "--game", "chsh", "--d", "1", "--out", str(tmp_path)]) == 0
     capsys.readouterr()

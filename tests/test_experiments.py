@@ -270,6 +270,15 @@ def test_classical_reference_modes():
     assert search["value"] >= Fraction(8, 10)
 
 
+@pytest.mark.parametrize("seed", [0, 42])
+def test_classical_reference_never_below_product_witness(seed):
+    for n in range(3, 16, 2):
+        ref = classical_reference(n, 2, seed=seed)
+        assert ref["value"] >= Fraction(2 * n - 1, 2 * n) ** 2
+    # at n = 15 the 60k-iteration search stops below the x mod 2 witness
+    assert ref == {"value": Fraction(29, 30) ** 2, "method": "product-witness", "exact": False}
+
+
 def test_prefactors_on_fixture():
     config = ExperimentConfig()
     g = TorusGraph(3, 2, transverse_cut_blocker(3, 2))

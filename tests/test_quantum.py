@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,9 +14,10 @@ from oddcycle.quantum import (
     QuantumError,
     QubitStrategy,
     _AngleForms,
+    _ascend,
+    _ascend_scalar,
     _forms,
     _maximize_profile,
-    _optimize_batch,
     _profile,
     bell_phase_state,
     bias_and_approximality,
@@ -308,7 +310,7 @@ def _surviving_pairs(game, rng):
 def test_angle_objective_and_profile_match_oracle(game, restricted):
     rng = np.random.default_rng(17)
     keep = _surviving_pairs(game, rng) if restricted else None
-    # column 0 feeds the scalar kernel; column 1, the full game, is another batch column
+    # column 0 feeds the scalar ascent; column 1, the full game, is another batch column
     forms = _AngleForms(game, [keep, None])
 
     def oracle(angles, pairs=keep):
@@ -392,29 +394,33 @@ def _restrictions(n):
 
 @pytest.mark.parametrize("n", [3, 5])
 @pytest.mark.parametrize("starts", [1, 4])
-# after 3 sweeps the starts still differ, so the choice of the best one shows
+# after 3 sweeps the starts still differ, so every row's own path shows
 @pytest.mark.parametrize("sweeps", [3, 200])
 def test_batched_restrictions_match_scalar_kernel(n, starts, sweeps):
     game, cases = _restrictions(n)
     canonical = canonical_odd_cycle_strategy(n)
     inits = [(dict(canonical.alice_angles), dict(canonical.bob_angles))]
     seeds = [101 + i for i in range(len(cases))]
-    batched = _optimize_batch(_AngleForms(game, cases), seeds, starts, sweeps, 1e-12, inits)
-    for keep, seed, got in zip(cases, seeds, batched):
-        # fewer than BATCH_MIN_ROWS rows: optimize_angles runs the scalar kernel
-        scalar = optimize_angles(game, seed=seed, starts=starts, sweeps=sweeps, restrict_pairs=keep, inits=inits)
-        assert abs(got["value"] - scalar["value"]) < 1e-12
-        # both tabulate exactly the coordinates that the kept pairs ask
+    forms = _AngleForms(game, cases)
+    rows = np.repeat(np.arange(len(cases)), starts)
+    start = forms.starts(seeds, starts, inits)
+    # _ascend updates the arrays it is given
+    batched, scalar = (ascend(forms, rows, [a.copy() for a in start], sweeps, 1e-12) for ascend in (_ascend, _ascend_scalar))
+    # the same updates, with sums in another order: row by row equal up to rounding
+    assert np.abs(batched[0] - scalar[0]).max() < 1e-12
+    for got, want in zip(batched[1], scalar[1]):
+        assert np.abs(np.exp(1j * got) - np.exp(1j * want)).max() < 1e-9
+    for row, i in enumerate(rows.tolist()):
+        keep, strategy = cases[i], forms.strategy(i, [side[:, row] for side in batched[1]])
+        # the strategy tabulates exactly the coordinates that the kept pairs ask
         kept = [(qa, qb) for qa, qb, _ in game.pairs if keep is None or (qa, qb) in set(keep)]
-        asked = [{x for q in qs for x in q} for qs in zip(*kept)]
-        for strategy in (got["strategy"], scalar["strategy"]):
-            assert [set(strategy.alice_angles), set(strategy.bob_angles)] == asked
-        strategy = got["strategy"]
+        assert [set(strategy.alice_angles), set(strategy.bob_angles)] == [{x for q in qs for x in q} for qs in zip(*kept)]
         objective = angle_objective(game, strategy.alice_angles, strategy.bob_angles, keep)
-        assert abs(objective - got["value"]) < 1e-12
+        assert abs(objective - batched[0][row]) < 1e-12
     # a restriction's rows do not see the other restrictions of the batch
-    reverse = _optimize_batch(_AngleForms(game, cases[::-1]), seeds[::-1], starts, sweeps, 1e-12, inits)
-    assert [r["value"] for r in reverse[::-1]] == [r["value"] for r in batched]
+    reverse = _AngleForms(game, cases[::-1])
+    values = _ascend(reverse, rows, reverse.starts(seeds[::-1], starts, inits), sweeps, 1e-12)[0]
+    assert values.reshape(-1, starts)[::-1].ravel().tolist() == batched[0].tolist()
 
 
 def test_optimize_restrictions_routes_by_row_count(monkeypatch):
@@ -422,17 +428,38 @@ def test_optimize_restrictions_routes_by_row_count(monkeypatch):
     seeds = list(range(len(cases)))
     assert 2 * 4 < quantum.BATCH_MIN_ROWS <= len(cases) * 4
     with monkeypatch.context() as patched:
-        patched.setattr(quantum, "_optimize_one", lambda *a: pytest.fail("scalar kernel ran"))
+        patched.setattr(quantum, "_ascend_scalar", lambda *a: pytest.fail("scalar ascent ran"))
         batched = optimize_restrictions(game, cases, seeds, starts=4)
     with monkeypatch.context() as patched:
-        patched.setattr(quantum, "_optimize_batch", lambda *a: pytest.fail("batch ran"))
+        patched.setattr(quantum, "_ascend", lambda *a: pytest.fail("batched ascent ran"))
         scalar = optimize_restrictions(game, cases[:2], seeds[:2], starts=4)
     for got, want in zip(batched, scalar):
         assert abs(got["value"] - want["value"]) < 1e-12
+    # the first best start of each restriction wins
+    tied = np.array([0.5, 0.7, 0.7, 0.1, 0.2, 0.2, 0.9, 0.9])
+    with monkeypatch.context() as patched:
+        patched.setattr(quantum, "_ascend_scalar", lambda forms, rows, angles, *a: (tied, angles))
+        picked = optimize_restrictions(game, [None, None], [5, 6], starts=4)
+    start = _AngleForms(game, [None, None]).starts([5, 6], 4, None)
+    for got, row in zip(picked, (1, 6)):
+        assert got["value"] == tied[row]
+        assert list(got["strategy"].alice_angles.values()) == start[0][:, row].tolist()
     with pytest.raises(QuantumError):
         optimize_restrictions(game, cases, seeds[1:])
     with pytest.raises(QuantumError):
         optimize_restrictions(game, [[]] * 8, [0] * 8, starts=4)
+
+
+def test_angle_forms_memory_stays_small():
+    # one depth-2 game at n = 15: 900 question pairs over 30 edges
+    game = make_odd_cycle_game(15, 2)
+    tracemalloc.start()
+    try:
+        _AngleForms(game, [None])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_optimize_angles_depth_cap():
