@@ -76,7 +76,10 @@ def emit_report(result: dict, out_dir: Path, name: str, sweep_rows=()) -> list:
     """Write the report and one sweep-n<k>.csv per n of the sweep rows;
     returns the written paths.  CSV rows use the fixed sweep schema
     theta,ratio,phat,halfwidth, with floats in the report's format."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        raise ValueError(f"--out {out_dir}: {exc.strerror or exc}") from None
     paths = []
     report_path = out_dir / f"{name}.json"
     report_path.write_text(dumps(result, indent=2) + "\n")

@@ -220,6 +220,10 @@ SINGLE_PEAK_STEPS = 8
 # scalar ascent; below it the per-update numpy call overhead of the batch
 # costs more than the Python loop
 BATCH_MIN_ROWS = 32
+# coordinate sweeps before the first joint Newton polish, and Newton steps
+# per polish
+POLISH_AFTER = 20
+POLISH_STEPS = 12
 
 
 def _newton(z1: complex, z2: complex, a: float, steps: int) -> tuple:
@@ -266,6 +270,26 @@ def _maximize_profile(z1: complex, z2: complex) -> float:
     return best[1]
 
 
+def _gauge_fixed(kept: np.ndarray, ends: list, n_keys: int) -> np.ndarray:
+    """(keys, restrictions) mask of the keys outside restriction i's kept
+    edges kept[i] and of the smallest key of each connected component of
+    them, the edges joining the key pairs ends[e] (union-find)."""
+    fixed = np.ones((n_keys, len(kept)), dtype=bool)
+
+    def find(root: dict, k: int) -> int:
+        while root[k] != k:
+            k = root[k]
+        return k
+
+    for i, edges in enumerate(kept):
+        root: dict = {}
+        for a, b in (ends[e] for e in np.flatnonzero(edges).tolist()):
+            ra, rb = find(root, root.setdefault(a, a)), find(root, root.setdefault(b, b))
+            root[max(ra, rb)] = min(ra, rb)
+        fixed[[k for k in root if find(root, k) != k], i] = False
+    return fixed
+
+
 class _AngleForms:
     """The angle objective sum_t W[t] prod_j (1 + E[t, j] cos(alpha + beta))/2
     (W normalised over a restriction's kept pairs, E[t, j] = +1 for target
@@ -277,7 +301,11 @@ class _AngleForms:
     and a two-leg term adds W E0 E1 / 8 to Q at (e0, e1) and at (e1, e0).
     Column i of A = [[Q, b/2], [b/2, c]] is restriction i, with zero b and
     Q on the edges it lacks; present[side][k, i] says whether it asks key
-    k of that side.  Arrays keep the restriction index last."""
+    k of that side.  Over all keys, Alice's then Bob's, fixed[k, i] marks
+    the keys restriction i's Newton polish holds still: those it lacks, and
+    the first key of each connected component of its kept edges, where the
+    gauge alpha + c, beta - c leaves the objective unchanged.  Arrays keep
+    the restriction index last."""
 
     def __init__(self, game: GameSpec, restrictions: list):
         if game.depth > 2:
@@ -308,6 +336,11 @@ class _AngleForms:
         weight /= total
         b = (weight @ linear).T
         self.present = [(kept @ ask > 0).T for ask in asks]
+        asked = np.zeros((n_pairs, n_edges))
+        asked[pair, legs] = 1.0
+        split = len(self.keys[0])
+        ends = list(zip(self.ends[0].tolist(), (split + self.ends[1]).tolist()))
+        self.fixed = _gauge_fixed(kept @ asked > 0, ends, split + len(self.keys[1]))
         # objective = r1.(A r1) for r1 = (r, 1)
         self.A = np.zeros((n_edges + 1, n_edges + 1, len(restrictions)))
         Q = self.A[:-1, :-1]
@@ -473,7 +506,9 @@ def _ascend(forms: _AngleForms, rows: np.ndarray, angles: list, sweeps: int, tol
     """Sweeps of Gauss-Seidel updates over the rows (row index last) from
     the start angles, never updating a key a row's restriction lacks; a row
     drops out of the working arrays once a sweep gains less than tol.
-    Returns every row's last value and angles."""
+    Returns every row's last value and angles; the start arrays are left
+    as they are."""
+    angles = [a.copy() for a in angles]
     phase = [_cis(a) for a in angles]
     r1 = np.ones((len(forms.ends[0]) + 1, len(rows)))
     r1[:-1] = (phase[0][forms.ends[0]] * phase[1][forms.ends[1]]).real
@@ -508,6 +543,92 @@ def _ascend(forms: _AngleForms, rows: np.ndarray, angles: list, sweeps: int, tol
     return final
 
 
+def _solve_negative_definite(H: np.ndarray, g: np.ndarray) -> tuple:
+    """Per row (last axis): whether H is negative definite, and where it is
+    the solution x of -H x = g, from the Cholesky factor L of -H built one
+    column at a time.  L overwrites the lower triangle of H."""
+    L = np.negative(H, out=H)
+    ok = np.ones(H.shape[-1], dtype=bool)
+    for j in range(len(H)):
+        d = L[j, j] - (L[j, :j] ** 2).sum(axis=0)
+        ok &= d > 0.0
+        L[j, j] = d = np.sqrt(np.where(ok, d, 1.0))
+        L[j + 1 :, j] = (L[j + 1 :, j] - np.einsum("ikr,kr->ir", L[j + 1 :, :j], L[j, :j])) / d
+    x = g.copy()
+    for j in range(len(H)):
+        x[j] = (x[j] - np.einsum("kr,kr->r", L[j, :j], x[:j])) / L[j, j]
+    for j in reversed(range(len(H))):
+        x[j] = (x[j] - np.einsum("kr,kr->r", L[j + 1 :, j], x[j + 1 :])) / L[j, j]
+    return ok, x
+
+
+def _derivatives(forms: _AngleForms, A: np.ndarray, u: np.ndarray, r1: np.ndarray) -> tuple:
+    """Gradient and Hessian of every row's objective r1.(A r1) in all its
+    angles, Alice's keys then Bob's (row index last), at the edge phases
+    u = exp(i theta), theta_e = alpha + beta.  With r = cos(theta),
+    s = sin(theta) and g = b + 2 Q r, they are -g s and
+    2 Q o (s s^T) - diag(g r) in theta, summed over each key's incident
+    edges."""
+    incident = [inc for (_, _, inc, *_), _ in forms.tables]
+
+    def by_key(v: np.ndarray) -> np.ndarray:
+        out = np.empty((len(incident),) + v.shape[1:])
+        for k, inc in enumerate(incident):
+            v[inc].sum(axis=0, out=out[k])
+        return out
+
+    g, s = 2.0 * np.einsum("efr,fr->er", A[:-1], r1), u.imag
+    hessian = A[:-1, :-1] * s
+    hessian *= 2.0 * s[:, None]
+    edges = np.arange(len(s))
+    hessian[edges, edges] -= g * u.real
+    hessian = by_key(hessian).swapaxes(0, 1)  # summed over one key of each pair
+    return by_key(-g * s), by_key(hessian)
+
+
+def _polish(forms: _AngleForms, rows: np.ndarray, angles: list) -> tuple:
+    """Joint Newton steps on all angles of every row (row index last), from
+    _derivatives.  The keys forms.fixed holds still are dropped, which
+    removes the Hessian's null directions exactly.  A row takes its step
+    where the reduced Hessian is negative definite and the objective does
+    not drop.  A row settles once its step is below 1e-12, and leaves the
+    working arrays when it settles, its Hessian is not negative definite,
+    its step is refused, or after POLISH_STEPS steps.  Returns every row's
+    value and angles, and whether it settled."""
+    split, diagonal = len(forms.keys[0]), np.arange(len(forms.fixed))
+
+    def at(x: np.ndarray, A: np.ndarray) -> tuple:
+        phase = _cis(x)
+        u = phase[forms.ends[0]] * phase[split + forms.ends[1]]
+        r1 = np.ones((len(u) + 1, x.shape[1]))
+        r1[:-1] = u.real
+        return u, r1, _forms(A, r1)
+
+    x, A, free = np.concatenate(angles), forms.A[..., rows], ~forms.fixed[:, rows]
+    out, settled = x.copy(), np.zeros(len(rows), dtype=bool)
+    u, r1, value = at(x, A)
+    values, live = value.copy(), np.arange(len(rows))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(POLISH_STEPS):
+            gradient, hessian = _derivatives(forms, A, u, r1)
+            hessian *= free[:, None] & free
+            hessian[diagonal, diagonal] -= ~free
+            ok, step = _solve_negative_definite(hessian, gradient * free)
+            moved = x + step
+            u_moved, r1_moved, trial = at(moved, A)
+            up = ok & (trial >= value)
+            tried = ((moved, x), (u_moved, u), (r1_moved, r1), (trial, value))
+            x, u, r1, value = (np.where(up, new, old) for new, old in tried)
+            out[:, live], values[live] = x, value
+            done = ok & (np.abs(step).max(axis=0) < 1e-12)
+            settled[live[done]] = True
+            going = up & ~done
+            if not going.any():
+                break
+            live, x, u, r1, value, A, free = (a[..., going] for a in (live, x, u, r1, value, A, free))
+    return values, [out[:split], out[split:]], settled
+
+
 def optimize_restrictions(
     game: GameSpec,
     restrictions: list,
@@ -519,17 +640,34 @@ def optimize_restrictions(
 ) -> list:
     """optimize_angles(game, seeds[i], starts, sweeps, tol, restrictions[i],
     inits) for every i.  One _AngleForms holds every restriction's
-    objective and row i*starts + j runs start j of restriction i; from
-    BATCH_MIN_ROWS rows on all rows run as one batched coordinate ascent,
-    below it one after another.  The first best start of each restriction
-    wins."""
+    objective and row i*starts + j runs start j of restriction i.  The
+    rows run in rounds of POLISH_AFTER coordinate sweeps, each ended by a
+    _polish, up to `sweeps` sweeps in all; a row leaves once it settles or
+    a round gains less than tol.  From BATCH_MIN_ROWS rows on, a round's
+    ascent runs its rows as one batch, below it one after another.  The
+    first best start of each restriction wins; its value is a polished
+    local maximum, a heuristic lower bound on the restriction's supremum."""
     if len(restrictions) != len(seeds):
         raise QuantumError("one seed per restriction")
     starts = max(starts, len(inits or []))  # every init runs
     forms = _AngleForms(game, restrictions)
     rows = np.repeat(np.arange(len(seeds)), starts)
-    ascend = _ascend if len(rows) >= BATCH_MIN_ROWS else _ascend_scalar
-    values, angles = ascend(forms, rows, forms.starts(seeds, starts, inits), sweeps, tol)
+    angles = forms.starts(seeds, starts, inits)
+    values = np.full(len(rows), -np.inf)
+    todo, spent = np.arange(len(rows)), 0
+    while True:
+        run = min(POLISH_AFTER, sweeps - spent)
+        ascend = _ascend if len(todo) >= BATCH_MIN_ROWS else _ascend_scalar
+        part = ascend(forms, rows[todo], [side[:, todo] for side in angles], run, tol)[1]
+        got, part, settled = _polish(forms, rows[todo], part)
+        gained = got - values[todo]
+        values[todo] = got
+        for side, polished in zip(angles, part):
+            side[:, todo] = polished
+        spent += run
+        todo = todo[~settled & (gained >= tol)]
+        if not len(todo) or spent >= sweeps:
+            break
     best = values.reshape(-1, starts).argmax(axis=1) + np.arange(0, len(rows), starts)
     return [
         {"value": float(values[row]), "strategy": forms.strategy(i, [side[:, row] for side in angles]), "starts": starts}
@@ -548,7 +686,9 @@ def optimize_angles(
 ) -> dict:
     """Multi-start coordinate ascent over the 2n measurement angles (theta
     fixed to 0, outcome maps unflipped; both are absorbable into the
-    tables).  A heuristic lower bound on the restricted-game supremum."""
+    tables), finished by joint Newton steps (see optimize_restrictions).
+    The value is a polished local maximum of the best start: still a
+    heuristic lower bound on the restricted-game supremum."""
     return optimize_restrictions(game, [restrict_pairs], [seed], starts, sweeps, tol, inits)[0]
 
 

@@ -57,6 +57,15 @@ def test_value_search_flags_rejected_for_exact_methods(tmp_path, capsys, monkeyp
     assert not (tmp_path / "value-report.json").exists()
 
 
+def test_out_naming_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    assert main(["norms", "--diamond", "--vector", "1", "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out {taken}") and err.count("\n") == 1
+    assert taken.read_text() == "not a directory\n"
+
+
 def test_value_iterations_default_applies_to_search_only(tmp_path):
     base = ["value", "--game", "odd-cycle", "--n", "3", "--out", str(tmp_path)]
     assert main(base + ["--method", "search"]) == 0

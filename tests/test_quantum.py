@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oddcycle import quantum
+from oddcycle import experiments, quantum
 from oddcycle.games import make_chsh_game, make_odd_cycle_game
 from oddcycle.quantum import (
     MeasurementBasis,
@@ -16,9 +16,11 @@ from oddcycle.quantum import (
     _AngleForms,
     _ascend,
     _ascend_scalar,
+    _derivatives,
     _forms,
     _maximize_profile,
     _profile,
+    _solve_negative_definite,
     bell_phase_state,
     bias_and_approximality,
     canonical_odd_cycle_strategy,
@@ -404,8 +406,7 @@ def test_batched_restrictions_match_scalar_kernel(n, starts, sweeps):
     forms = _AngleForms(game, cases)
     rows = np.repeat(np.arange(len(cases)), starts)
     start = forms.starts(seeds, starts, inits)
-    # _ascend updates the arrays it is given
-    batched, scalar = (ascend(forms, rows, [a.copy() for a in start], sweeps, 1e-12) for ascend in (_ascend, _ascend_scalar))
+    batched, scalar = (ascend(forms, rows, start, sweeps, 1e-12) for ascend in (_ascend, _ascend_scalar))
     # the same updates, with sums in another order: row by row equal up to rounding
     assert np.abs(batched[0] - scalar[0]).max() < 1e-12
     for got, want in zip(batched[1], scalar[1]):
@@ -423,31 +424,173 @@ def test_batched_restrictions_match_scalar_kernel(n, starts, sweeps):
     assert values.reshape(-1, starts)[::-1].ravel().tolist() == batched[0].tolist()
 
 
+def test_ascents_leave_their_starts_unchanged():
+    game, cases = _restrictions(3)
+    forms = _AngleForms(game, cases)
+    rows = np.repeat(np.arange(len(cases)), 4)
+    start = forms.starts(list(range(len(cases))), 4, None)
+    kept = [a.copy() for a in start]
+    for ascend in (_ascend, _ascend_scalar):
+        ascend(forms, rows, start, 3, 1e-12)
+        assert all((a == b).all() for a, b in zip(start, kept))
+
+
 def test_optimize_restrictions_routes_by_row_count(monkeypatch):
     game, cases = _restrictions(3)
     seeds = list(range(len(cases)))
     assert 2 * 4 < quantum.BATCH_MIN_ROWS <= len(cases) * 4
-    with monkeypatch.context() as patched:
-        patched.setattr(quantum, "_ascend_scalar", lambda *a: pytest.fail("scalar ascent ran"))
-        batched = optimize_restrictions(game, cases, seeds, starts=4)
-    with monkeypatch.context() as patched:
-        patched.setattr(quantum, "_ascend", lambda *a: pytest.fail("batched ascent ran"))
-        scalar = optimize_restrictions(game, cases[:2], seeds[:2], starts=4)
+    calls = []
+    for name in ("_ascend", "_ascend_scalar"):
+        real = getattr(quantum, name)
+        monkeypatch.setattr(quantum, name, lambda *a, real=real, name=name: calls.append((name, len(a[1]))) or real(*a))
+    batched = optimize_restrictions(game, cases, seeds, starts=4)
+    assert calls[0] == ("_ascend", len(cases) * 4)
+    calls.clear()
+    scalar = optimize_restrictions(game, cases[:2], seeds[:2], starts=4)
+    assert calls[0] == ("_ascend_scalar", 2 * 4)
+    # every later round of unsettled rows is routed by its own row count
+    assert all((name == "_ascend") == (count >= quantum.BATCH_MIN_ROWS) for name, count in calls)
     for got, want in zip(batched, scalar):
         assert abs(got["value"] - want["value"]) < 1e-12
-    # the first best start of each restriction wins
-    tied = np.array([0.5, 0.7, 0.7, 0.1, 0.2, 0.2, 0.9, 0.9])
-    with monkeypatch.context() as patched:
-        patched.setattr(quantum, "_ascend_scalar", lambda forms, rows, angles, *a: (tied, angles))
-        picked = optimize_restrictions(game, [None, None], [5, 6], starts=4)
-    start = _AngleForms(game, [None, None]).starts([5, 6], 4, None)
-    for got, row in zip(picked, (1, 6)):
-        assert got["value"] == tied[row]
-        assert list(got["strategy"].alice_angles.values()) == start[0][:, row].tolist()
     with pytest.raises(QuantumError):
         optimize_restrictions(game, cases, seeds[1:])
     with pytest.raises(QuantumError):
         optimize_restrictions(game, [[]] * 8, [0] * 8, starts=4)
+
+
+def test_first_best_start_wins(monkeypatch):
+    # an ascent that does nothing hands the starts to the polish: the
+    # canonical tables C and -C climb to bit-identical values (cos is even,
+    # every step is mirrored), above all-zero angles, a critical point
+    game = make_odd_cycle_game(3, 2)
+    canonical = canonical_odd_cycle_strategy(3)
+    tables = (canonical.alice_angles, canonical.bob_angles)
+    plus, minus = tables, tuple({q: -a for q, a in t.items()} for t in tables)
+    zero = tuple(dict.fromkeys(t, 0.0) for t in tables)
+    monkeypatch.setattr(quantum, "_ascend_scalar", lambda forms, rows, angles, *a: (None, angles))
+    picked = optimize_restrictions(game, [None, None], [5, 6], starts=4, inits=[zero, zero, minus, plus])
+    flipped = optimize_restrictions(game, [None], [5], starts=4, inits=[zero, plus, minus, zero])[0]
+    low = win_probability(game, QubitStrategy(bell_phase_state(), *zero))
+    assert picked[0]["value"] == picked[1]["value"] == flipped["value"] > low
+    for got, want in ((picked[0], minus), (picked[1], minus), (flipped, plus)):
+        assert max(abs(got["strategy"].alice_angles[q] - a) for q, a in want[0].items()) < 1e-6
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_derivatives_match_central_differences(depth):
+    game = make_odd_cycle_game(5, depth)
+    rng = np.random.default_rng(depth)
+    forms = _AngleForms(game, [_surviving_pairs(game, rng), None])
+    split, K = len(forms.keys[0]), sum(len(ks) for ks in forms.keys)
+
+    def at(x):
+        u = np.exp(1j * x[forms.ends[0]]) * np.exp(1j * x[split + forms.ends[1]])
+        return u, np.vstack([u.real, np.ones((1, x.shape[1]))])
+
+    x = rng.uniform(0, 2 * math.pi, (K, 2))
+    gradient, hessian = _derivatives(forms, forms.A, *at(x))
+    h, eye = 1e-4, np.eye(K)[:, :, None]
+
+    def f(dx):
+        return _forms(forms.A, at(x + dx)[1])
+
+    for k in range(K):
+        assert np.abs((f(h * eye[k]) - f(-h * eye[k])) / (2 * h) - gradient[k]).max() < 1e-7
+        for j in range(K):
+            step = [f(h * (sk * eye[k] + sj * eye[j])) for sk in (1, -1) for sj in (1, -1)]
+            assert np.abs((step[0] - step[1] - step[2] + step[3]) / (4 * h * h) - hessian[k, j]).max() < 1e-6
+
+
+def test_gauge_fixing_removes_exactly_the_null_directions():
+    # the depth-1 game's edges form one cycle over the keys; cutting two of
+    # its pairs leaves two paths, each with its own gauge alpha + c, beta - c
+    game = make_odd_cycle_game(5, 1)
+    pairs = sorted((qa, qb) for qa, qb, _ in game.pairs)
+    cases = [None, pairs[1:4] + pairs[5:]]
+    forms = _AngleForms(game, cases)
+    present = np.concatenate(forms.present)
+    assert ((forms.fixed & present).sum(axis=0) == [1, 2]).all()
+    assert (forms.fixed | present).all()
+    split = len(forms.keys[0])
+    tables = [(r["strategy"].alice_angles, r["strategy"].bob_angles) for r in optimize_restrictions(game, cases, [0, 1], starts=2)]
+    x = np.array([[t.get(q, 0.0) for t, ks in zip(row, forms.keys) for q in ks] for row in tables]).T
+    u = np.exp(1j * x[forms.ends[0]]) * np.exp(1j * x[split + forms.ends[1]])
+    hessian = _derivatives(forms, forms.A, u, np.vstack([u.real, np.ones((1, 2))]))[1]
+    for i in range(2):
+        on, free = present[:, i], present[:, i] & ~forms.fixed[:, i]
+        eigenvalues = np.linalg.eigvalsh(hessian[..., i][np.ix_(on, on)])
+        assert (np.abs(eigenvalues) < 1e-12).sum() == (forms.fixed & present)[:, i].sum()
+        assert np.linalg.eigvalsh(hessian[..., i][np.ix_(free, free)]).max() < -1e-3
+
+
+def test_cholesky_solve_matches_numpy():
+    rng = np.random.default_rng(3)
+    K, R = 7, 40
+    M = rng.normal(size=(R, K, K))
+    H = -np.einsum("rik,rjk->rij", M, M) - 0.1 * np.eye(K)  # negative definite
+    H[::3] += 3.0 * np.eye(K)  # every third row not
+    g = rng.normal(size=(R, K))
+    ok, x = _solve_negative_definite(np.moveaxis(H, 0, -1).copy(), g.T.copy())
+    assert ok.tolist() == (np.linalg.eigvalsh(H).max(axis=1) < 0).tolist() and (~ok).any()
+    assert np.abs(x.T[ok] - np.linalg.solve(-H[ok], g[ok, :, None])[..., 0]).max() < 1e-9
+
+
+@pytest.mark.parametrize("n", range(3, 28, 2))
+def test_polished_depth_one_value_is_cos_squared(n):
+    # Cleve, Hoyer, Toner and Watrous 2004
+    assert abs(optimize_angles(make_odd_cycle_game(n, 1))["value"] - math.cos(math.pi / (4 * n)) ** 2) < 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_polished_depth_two_value_is_cos_fourth(n):
+    # perfect parallel repetition: Cleve, Slofstra, Unger and Upadhyay 2008
+    assert abs(optimize_angles(make_odd_cycle_game(n, 2))["value"] - math.cos(math.pi / (4 * n)) ** 4) < 1e-12
+
+
+def test_polish_never_ends_below_the_plain_ascent(monkeypatch):
+    # the estimator's batches on the seed-42 bench job: n = 3, 5 with 60 samples
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs, optimize_restrictions(*args, **kwargs)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(experiments, "optimize_restrictions", record)
+    experiments.estimate_events(ExperimentConfig(n_values=(3, 5), samples=60, seed=42))
+    assert len(calls) == 2
+    for (game, restrictions, seeds), kwargs, results in calls:
+        starts, forms = kwargs["starts"], _AngleForms(game, restrictions)
+        rows = np.repeat(np.arange(len(seeds)), starts)
+        plain = _ascend(forms, rows, forms.starts(seeds, starts, kwargs["inits"]), kwargs["sweeps"], 1e-12)[0]
+        assert (np.array([r["value"] for r in results]) >= plain.reshape(-1, starts).max(axis=1) - 1e-12).all()
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_polished_rows_do_not_see_the_other_restrictions(n):
+    game, cases = _restrictions(n)
+    seeds = [101 + i for i in range(len(cases))]
+    forward = optimize_restrictions(game, cases, seeds, starts=4)
+    backward = optimize_restrictions(game, cases[::-1], seeds[::-1], starts=4)[::-1]
+    for got, want in zip(backward, forward):
+        assert got["value"] == want["value"]
+        assert got["strategy"].to_json() == want["strategy"].to_json()
+    # alone, each restriction's 4 rows take the scalar ascent; together,
+    # the batch: the polish ends both on the same maximum
+    for i, (keep, seed) in enumerate(zip(cases, seeds)):
+        alone = optimize_restrictions(game, [keep], [seed], starts=4)[0]
+        assert abs(alone["value"] - forward[i]["value"]) < 1e-12
+
+
+@pytest.mark.parametrize("sweeps", [3, 20, 45, 200])
+def test_no_row_runs_more_than_sweeps_coordinate_sweeps(monkeypatch, sweeps):
+    game, cases = _restrictions(5)
+    budgets = []
+    for name in ("_ascend", "_ascend_scalar"):
+        real = getattr(quantum, name)
+        monkeypatch.setattr(quantum, name, lambda f, r, a, s, t, real=real: budgets.append(s) or real(f, r, a, s, t))
+    optimize_restrictions(game, cases, list(range(len(cases))), starts=4, sweeps=sweeps)
+    # each call of an ascent caps the sweeps of every row it is given
+    assert budgets[0] == min(sweeps, quantum.POLISH_AFTER) and sum(budgets) <= sweeps
 
 
 def test_angle_forms_memory_stays_small():
