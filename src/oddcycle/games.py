@@ -6,6 +6,13 @@ Questions are tuples in [n]^d; answers are d-bit vectors packed into ints
 winning answer offset per question pair, which the exhaustive and search
 paths exploit: for a fixed Alice table, Bob's best response at question y
 is the mode of ``S_A(x) XOR target(x, y)`` over the draws that reach y.
+
+The same structure gives a shift symmetry: ``a ^ c, b ^ c`` wins exactly
+when ``a ^ b`` does, so XOR-ing every answer of an Alice table with one
+c in [k] shifts Bob's best response by c and keeps the win count.  The
+k^nx Alice tables fall into orbits of k equal-valued tables, one per
+top digit, and the exhaustive engine scores only the orbit members whose
+top digit is 0 (see ``_exact_alice_exhaustive``).
 """
 
 from __future__ import annotations
@@ -280,6 +287,17 @@ def _bob_histograms(game: GameSpec, alice: np.ndarray) -> np.ndarray:
     return np.bincount(flat.ravel(), minlength=cells.size * k).reshape(cells.shape[:-1] + (k,))
 
 
+def _checked_witness(game: GameSpec, alice_table: dict, bob_table: dict, exact: Fraction) -> DeterministicStrategy:
+    """The witness pair, re-scored pair by pair by ``evaluate_strategy``
+    (exact weights, no histogram kernel); a score other than ``exact``
+    raises GameError."""
+    witness = DeterministicStrategy(alice_table, bob_table)
+    scored = evaluate_strategy(game, witness)
+    if scored != exact:
+        raise GameError(f"witness scores {scored} pair by pair, the engine reported {exact}")
+    return witness
+
+
 def _best_response_bob(game: GameSpec, alice_table: dict) -> tuple:
     """Bob's optimal table against a fixed Alice table, plus the win count
     (number of uniform draws won).  Ties go to the smallest answer."""
@@ -308,7 +326,7 @@ def classical_value_exact(
         pair_count = k ** nx * k ** ny
         if pair_count > full_budget:
             raise BudgetExceeded(
-                f"full search over {pair_count} strategy pairs exceeds budget; "
+                f"full search over {pair_count} strategy pairs exceeds the budget of {full_budget}; "
                 "use alice-exhaustive-best-response or classical_value_search"
             )
         return _exact_full(game)
@@ -317,7 +335,7 @@ def classical_value_exact(
     table_count = k ** nx
     if table_count > alice_budget:
         raise BudgetExceeded(
-            f"{table_count} alice tables exceed budget; use classical_value_search"
+            f"{table_count} alice tables exceed the budget of {alice_budget}; use classical_value_search"
         )
     return _exact_alice_exhaustive(game)
 
@@ -358,14 +376,14 @@ def _exact_full(game: GameSpec) -> ValueReport:
     )
 
 
-def _digit_histograms(game: GameSpec, lo: int, hi: int) -> np.ndarray:
+def _digit_histograms(game: GameSpec, lo: int, hi: int, count: int) -> np.ndarray:
     """Per-Bob answer histograms over the Alice digits lo..hi-1 alone:
     H[y, b, i] counts the draws reaching Bob question y from an Alice
     question x in [lo, hi) that answer b wins when those digits spell
-    i = sum_x a_x k^(x - lo)."""
+    i = sum_x a_x k^(x - lo), for the first ``count`` strings i."""
     xs, ts = game.bob_fan_in()
     k = game.answers_per_question
-    span = np.arange(k ** (hi - lo))
+    span = np.arange(count)
     hist = np.zeros((len(xs), k, len(span)), dtype=np.min_scalar_type(xs.shape[1]))
     for (y, j), x in np.ndenumerate(xs):
         if lo <= x < hi:
@@ -374,15 +392,24 @@ def _digit_histograms(game: GameSpec, lo: int, hi: int) -> np.ndarray:
 
 
 def _exact_alice_exhaustive(game: GameSpec) -> ValueReport:
-    """Score every Alice table index = hi * k^half + lo as
+    """Score Alice table index = hi * k^half + lo as
     sum_y max_b (H_hi[y, b, hi] + H_lo[y, b, lo]), one block of high
-    indices at a time; the witness is the smallest-index maximiser."""
+    indices at a time; the witness is the smallest-index maximiser.
+
+    Only the tables whose top digit (the answer to the last Alice
+    question) is 0 are scored, the indices below k^(nx-1).  Each stands
+    for its shift orbit {T ^ c : c in [k]}, whose members all win the same
+    count (module docstring), so the k^nx tables are still all decided.
+    The smallest-index maximiser has top digit 0: shifting a maximiser
+    with top digit c by c gives a maximiser with a smaller index.  So the
+    first-best scan over this range returns the same value and witness as
+    a scan over every table."""
     k = game.answers_per_question
     nx = len(game.alice_questions)
     weight = game.uniform_support_weight()
     half = nx // 2
-    h_lo = _digit_histograms(game, 0, half)
-    h_hi = _digit_histograms(game, half, nx)
+    h_lo = _digit_histograms(game, 0, half, k**half)
+    h_hi = _digit_histograms(game, half, nx, k ** (nx - 1 - half))
     width = h_lo.shape[2]
     rows = max(1, EXHAUSTIVE_BLOCK_CELLS // width)
     best_won, best_table_idx = -1, -1
@@ -410,7 +437,7 @@ def _exact_alice_exhaustive(game: GameSpec) -> ValueReport:
         value=float(exact),
         method="alice-exhaustive-best-response",
         exact=exact,
-        witness=DeterministicStrategy(alice_table, bob_table),
+        witness=_checked_witness(game, alice_table, bob_table, exact),
         evaluations=k**nx,
     )
 
@@ -581,7 +608,7 @@ def classical_value_search(
         value=float(exact),
         method="local-search",
         exact=exact,
-        witness=DeterministicStrategy(alice_table, bob_table),
+        witness=_checked_witness(game, alice_table, bob_table, exact),
         evaluations=it,
         notes={
             "lower_bound_only": True,

@@ -476,7 +476,8 @@ def min_blocker(
         estimated = g0.n ** (g0.d * g0.n ** (g0.d - 1))
         if estimated > budget:
             raise BudgetExceeded(
-                "exact min_blocker beyond node budget; use method='heuristic'"
+                f"exact min_blocker estimate of {estimated} nodes exceeds the node budget of {budget}; "
+                "use method='heuristic'"
             )
         return _min_blocker_exact(g0, mode, budget)
     if method == "heuristic":
@@ -495,7 +496,7 @@ def _min_blocker_exact(g0: TorusGraph, mode: str, budget: int) -> dict:
         nonlocal nodes, best
         nodes += 1
         if nodes > budget:
-            raise BudgetExceeded("branch-and-bound node budget exceeded")
+            raise BudgetExceeded(f"branch-and-bound reached node {nodes}, over the node budget of {budget}")
         lower = len(removed) + _axis_loop_lower_bound(g0, removed, mode)
         if lower >= best["size"]:
             return

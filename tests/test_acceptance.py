@@ -133,7 +133,7 @@ def test_criterion_4_chsh_ladder():
     t0 = time.perf_counter()
     triple = classical_value_exact(make_chsh_game(3))
     elapsed = time.perf_counter() - t0
-    assert elapsed < 900.0
+    assert elapsed < 10.0
     reference = Fraction(31, 64)
     comparison = "matches" if triple.exact == reference else "DIFFERS-ERRATUM"
     # the reference labels 31/64 as a quantum value; the computed number is
@@ -148,7 +148,7 @@ def test_criterion_4_chsh_ladder():
     assert triple.exact == reference, flag
     announce(
         "4",
-        f"CHSH 3/4, CHSH^2 10/16, CHSH^3 {triple.exact} in {elapsed:.0f}s; "
+        f"CHSH 3/4, CHSH^2 10/16, CHSH^3 {triple.exact} in {elapsed:.3f}s; "
         f"31/64 comparison: {comparison} (label erratum documented)",
         time.perf_counter() - t_total,
     )

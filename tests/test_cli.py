@@ -91,12 +91,14 @@ def test_unknown_flag_exits_2(tmp_path):
 
 
 def test_budget_refusal_exits_1(tmp_path, capsys):
-    code = main(
-        ["value", "--game", "odd-cycle", "--n", "5", "--d", "2", "--method", "best-response", "--out", str(tmp_path)]
-    )
-    out = capsys.readouterr().out
-    assert code == 1
-    assert "refusal" in out
+    # the refusal names the count that tripped the budget and the budget
+    for n, d, tables in ((5, 2, 4**25), (3, 3, 8**27)):
+        argv = ["value", "--game", "odd-cycle", "--n", str(n), "--d", str(d), "--method", "best-response"]
+        code = main(argv + ["--out", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert code == 1
+        refusal = json.loads(out)["refusal"]
+        assert refusal.startswith(f"{tables} alice tables exceed the budget of {1 << 26};")
 
 
 def test_norms_diamond_vector(tmp_path, capsys):

@@ -4,6 +4,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddcycle import games
 from oddcycle.games import (
@@ -160,6 +162,46 @@ def test_exhaustive_matches_witness_oracle(game, block_cells, monkeypatch):
     assert evaluate_strategy(game, report.witness) == value
 
 
+ORBIT_GAMES = [make_chsh_game(2, dict(zip(CHSH_DELTA_KEYS, bits))) for bits in product((0, 1), repeat=4)] + [
+    make_odd_cycle_game(3, 1),
+    make_odd_cycle_game(3, 2),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_shift_orbit_wins_the_same_count(data):
+    # the exhaustive engine scores one Alice table per orbit {T ^ c}: every
+    # member must win the same count against its best response
+    game = data.draw(st.sampled_from(ORBIT_GAMES))
+    k, nx = game.answers_per_question, len(game.alice_questions)
+    answers = data.draw(st.lists(st.integers(0, k - 1), min_size=nx, max_size=nx))
+    table = dict(zip(game.alice_questions, answers))
+    won = best_response_won(game, table)
+    for c in range(k):
+        assert best_response_won(game, {q: a ^ c for q, a in table.items()}) == won
+
+
+@pytest.mark.parametrize(
+    "game, value, alice, bob",
+    [
+        (make_chsh_game(3), Fraction(31, 64), [1, 5, 3, 0, 0, 0, 0, 0], [0, 4, 2, 1, 1, 1, 1, 1]),
+        (make_odd_cycle_game(3, 2), Fraction(3, 4), [3, 3, 1, 3, 1, 0, 2, 0, 0], [3, 1, 1, 2, 1, 0, 2, 0, 2]),
+    ],
+    ids=["chsh-3", "odd-cycle-3-2"],
+)
+@pytest.mark.parametrize("block_cells", [1, games.EXHAUSTIVE_BLOCK_CELLS], ids=["row-blocks", "default-blocks"])
+def test_exhaustive_reports_pinned(game, value, alice, bob, block_cells, monkeypatch):
+    # beyond the oracles' reach: the value, witness and evaluation count
+    # of a scan over every Alice table, in question order
+    monkeypatch.setattr(games, "EXHAUSTIVE_BLOCK_CELLS", block_cells)
+    report = classical_value_exact(game)
+    assert report.exact == value
+    assert [report.witness.alice_table[q] for q in game.alice_questions] == alice
+    assert [report.witness.bob_table[q] for q in game.bob_questions] == bob
+    assert report.evaluations == game.answers_per_question ** len(game.alice_questions)
+
+
 def test_bob_fan_in_uniform_and_checked():
     for game, fan_in in ((make_odd_cycle_game(5, 2), 4), (make_chsh_game(3), 8)):
         xs, ts = game.bob_fan_in()
@@ -305,10 +347,27 @@ def test_best_response_disagreement_raises(monkeypatch):
         classical_value_exact(make_odd_cycle_game(3, 1))
 
 
+@pytest.mark.parametrize(
+    "compute",
+    [classical_value_exact, functools.partial(classical_value_search, iterations=200)],
+    ids=["exhaustive", "search"],
+)
+def test_witness_rescored_pair_by_pair(compute, monkeypatch):
+    honest = games._best_response_bob
+
+    def flipped(game, alice_table):
+        table, won = honest(game, alice_table)
+        return {q: b ^ 1 for q, b in table.items()}, won
+
+    monkeypatch.setattr(games, "_best_response_bob", flipped)
+    with pytest.raises(GameError, match="pair by pair"):
+        compute(make_odd_cycle_game(3, 1))
+
+
 def test_full_mode_budget_refusal():
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match="68719476736 strategy pairs exceeds the budget of 67108864"):
         classical_value_exact(make_odd_cycle_game(3, 2), mode="full")
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match=f"{4**25} alice tables exceed the budget of 67108864"):
         classical_value_exact(make_odd_cycle_game(5, 2))
 
 

@@ -275,9 +275,13 @@ def test_min_blocker_branch_and_bound_searches_without_loop_bound(monkeypatch):
     assert (rec["size"], sorted(rec["edges"]), rec["nodes"]) == (4, cut2, 63)
 
 
-def test_min_blocker_budget_refusal():
-    with pytest.raises(BudgetExceeded):
+def test_min_blocker_budget_refusal(monkeypatch):
+    with pytest.raises(BudgetExceeded, match="estimate of 9765625 nodes exceeds the node budget of 2000000"):
         min_blocker(TorusGraph(5, 2))
+    # without the loop bound the n=3 search passes the estimate (729) but visits 6010 nodes
+    monkeypatch.setattr(torus, "_axis_loop_lower_bound", lambda g, removed, mode: 0)
+    with pytest.raises(BudgetExceeded, match="reached node 1001, over the node budget of 1000"):
+        min_blocker(TorusGraph(3, 2), budget=1000)
 
 
 def test_min_blocker_heuristic_upper_bound():
