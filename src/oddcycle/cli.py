@@ -30,7 +30,9 @@ from .games import (
     classical_value_search,
     make_chsh_game,
     make_odd_cycle_game,
+    random_strategy,
     repetition_decay_check,
+    strategy_from_coordinate_rule,
 )
 from .quantum import (
     QuantumError,
@@ -64,6 +66,7 @@ from .experiments import (
     ExperimentConfig,
     ExperimentError,
     SamplingError,
+    classical_reference,
     estimate_events,
     foam_probes,
 )
@@ -195,20 +198,16 @@ def _cmd_qvalue(args) -> dict:
 
 
 def _cmd_repeat(args) -> dict:
-    game = make_odd_cycle_game(args.n, args.d)
+    make_odd_cycle_game(args.n, args.d)  # rejects a bad n or d also when --value is given
     if args.value is not None:
-        value = args.value
-        source = "supplied"
+        value, source = args.value, "supplied"
     else:
-        try:
-            value = float(classical_value_exact(game).exact)
-            source = "exact"
-        except BudgetExceeded:
-            value = float(
-                classical_value_search(game, seed=args.seed, iterations=args.iterations).exact
-            )
-            source = "search-lower-bound"
-    single = classical_value_exact(make_odd_cycle_game(args.n, 1), mode="full").exact
+        ref = classical_reference(args.n, args.d, seed=args.seed, iterations=args.iterations)
+        value = float(ref["value"])
+        source = "exact" if ref["exact"] else "search-lower-bound"
+        if ref["method"] == "product-witness":
+            source = "product-witness"
+    single = classical_value_exact(make_odd_cycle_game(args.n, 1)).exact
     diag = repetition_decay_check(args.n, args.d, value)
     diag["value_source"] = source
     diag["product_bound"] = float(single) ** args.d
@@ -220,18 +219,11 @@ def _cmd_pearls(args) -> dict:
     import numpy as np
 
     n, d = args.n, args.d
+    game = make_odd_cycle_game(n, d)
     if args.strategy == "xmod2":
-        table = {}
-        for q in make_odd_cycle_game(n, d).alice_questions:
-            table[q] = sum((x % 2) << i for i, x in enumerate(q))
-    elif args.strategy == "random":
-        rng = np.random.default_rng(args.seed)
-        table = {
-            q: int(rng.integers(0, 2**d))
-            for q in make_odd_cycle_game(n, d).alice_questions
-        }
+        table = strategy_from_coordinate_rule(game, lambda x: x % 2).alice_table
     else:
-        raise RegionError(f"unknown strategy {args.strategy!r}")
+        table = random_strategy(game, np.random.default_rng(args.seed)).alice_table
     pearl = build_pearl(table, n, d)
     value = value_via_regions(table, n, d)
     out = {
@@ -315,9 +307,7 @@ def _cmd_experiment(args) -> tuple:
         **grid,
     )
     report = estimate_events(config)
-    payload = report.to_json()
-    payload["schema"] = "oddcycle.experiment/1"
-    return payload, report.sweep_rows()
+    return report.to_json(), report.sweep_rows()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("norms", help="diamond norm, lambda measure, integral bound")
     common(p)
-    p.add_argument("--diamond", action="store_true")
     p.add_argument("--vector", default=None)
     p.add_argument("--monte-carlo", action="store_true")
     p.add_argument("--mc-samples", type=int, default=4096)

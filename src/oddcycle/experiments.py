@@ -11,8 +11,9 @@ squares the base values; the repeated classical reference uses the product
 witness bound (exact repeated values are beyond any exhaustive budget).
 
 Every sample draws its own generator from the master seed by a counter
-split, so results are bitwise reproducible for a fixed config and do not
-depend on which other samples share an optimisation batch.
+split, so a fixed config gives the same bytes on every rerun.  A batch's
+row count picks one of two angle ascents that differ in the last bits, so
+with another sample count a sample's values agree only within 1e-12.
 """
 
 from __future__ import annotations

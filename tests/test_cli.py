@@ -1,8 +1,11 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -60,7 +63,7 @@ def test_value_search_flags_rejected_for_exact_methods(tmp_path, capsys, monkeyp
 def test_out_naming_a_file_exits_2(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("not a directory\n")
-    assert main(["norms", "--diamond", "--vector", "1", "--out", str(taken)]) == 2
+    assert main(["norms", "--vector", "1", "--out", str(taken)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: --out {taken}") and err.count("\n") == 1
     assert taken.read_text() == "not a directory\n"
@@ -102,7 +105,7 @@ def test_budget_refusal_exits_1(tmp_path, capsys):
 
 
 def test_norms_diamond_vector(tmp_path, capsys):
-    code = main(["norms", "--diamond", "--vector", "3,4", "--out", str(tmp_path)])
+    code = main(["norms", "--vector", "3,4", "--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert code == 0
     data = json.loads(out)
@@ -168,6 +171,67 @@ def test_repeat_subcommand(tmp_path, capsys):
     assert data["value_source"] == "supplied"
 
 
+def test_repeat_computes_exact_value(tmp_path, capsys):
+    assert main(["repeat", "--n", "3", "--d", "2", "--out", str(tmp_path)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["value"] == 0.75 and data["value_source"] == "exact"
+    assert data["product_bound"] == (5 / 6) ** 2
+
+
+def test_repeat_value_never_below_product_witness(tmp_path, capsys):
+    # the single round goes through the best-response engine (2^15 tables);
+    # the full mode would refuse its 2^30 strategy pairs
+    t0 = time.perf_counter()
+    assert main(["repeat", "--n", "15", "--d", "2", "--out", str(tmp_path)]) == 0
+    elapsed = time.perf_counter() - t0
+    data = json.loads(capsys.readouterr().out)
+    assert data["value_source"] == "product-witness"
+    assert data["value"] == data["product_bound"] == float(Fraction(29, 30) ** 2)
+    assert elapsed < 10.0
+
+
+REPEAT_N11_D2 = """{
+  "bound_quantity": 0.15442214550691258,
+  "d": 2,
+  "gap": 0.07644628099173556,
+  "in_regime": true,
+  "manifest_id": "402bff1b0336893b",
+  "n": 11,
+  "product_bound": 0.9111570247933886,
+  "schema": "oddcycle.repeat/1",
+  "value": 0.9235537190082644,
+  "value_source": "search-lower-bound"
+}
+"""
+
+
+def test_repeat_search_report_bytes(tmp_path, capsys):
+    # 447/484 from the seed-0 local search beats the 441/484 witness
+    assert main(["repeat", "--n", "11", "--d", "2", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == REPEAT_N11_D2
+    assert (tmp_path / "repeat-report.json").read_text() == REPEAT_N11_D2
+
+
+@pytest.mark.parametrize("flags", [["--d", "0"], ["--n", "4"]])
+def test_repeat_validates_game_with_supplied_value(flags, tmp_path, capsys):
+    assert main(["repeat", *flags, "--value", "0.5", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "repeat-report.json").exists()
+
+
+def test_pearls_random_table(tmp_path, capsys, monkeypatch):
+    tables = []
+    real = cli.build_pearl
+    monkeypatch.setattr(cli, "build_pearl", lambda table, n, d: tables.append(table) or real(table, n, d))
+    argv = ["pearls", "--n", "3", "--d", "2", "--strategy", "random", "--seed", "9", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    data = json.loads(capsys.readouterr().out)
+    (table,) = tables
+    assert list(table) == sorted(table) and len(table) == 9
+    assert list(table.values()) == [1, 3, 3, 1, 0, 2, 2, 3, 2]
+    assert data["value"]["fraction"] == "5/9"
+
+
 def test_foam_subcommand(tmp_path, capsys):
     code = main(["foam", "--d", "2", "--samples", "20", "--out", str(tmp_path)])
     assert code == 0
@@ -215,6 +279,29 @@ def test_format_flag_is_gone(tmp_path, capsys):
     assert (tmp_path / "sweep-n3.csv").exists()
 
 
+def test_diamond_flag_is_gone(tmp_path, capsys):
+    argv = ["norms", "--vector", "3,4", "--out", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--diamond"])
+    assert exc.value.code == 2
+    assert "--diamond" in capsys.readouterr().err
+    assert not tmp_path.joinpath("norms-report.json").exists()
+    assert main(argv) == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "norms-manifest.json").read_text())
+    assert "diamond" not in manifest["params"]
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("oddcycle ")]
+    assert len(lines) >= len(cli.HANDLERS)
+    parser = cli.build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
+
+
 def test_experiment_report_bytes_do_not_depend_on_threads(tmp_path, capsys):
     args = ["experiment", "--n-values", "3", "--samples", "8", "--seed", "4", "--per-sample"]
     reports = []
@@ -237,7 +324,7 @@ def test_experiment_rejects_bad_config_before_any_work(flags, tmp_path, capsys, 
     assert capsys.readouterr().err.startswith("error: ")
 
 
-NORMS = ["norms", "--diamond", "--vector", "1"]
+NORMS = ["norms", "--vector", "1"]
 BAD_INPUTS = {
     "config-missing": ({}, ["--config", "{tmp}/absent.json", *NORMS]),
     "config-list": ({"conf.json": "[1, 2]"}, ["--config", "{tmp}/conf.json", *NORMS]),
@@ -332,14 +419,14 @@ def test_config_file_precedence(tmp_path, capsys):
 def test_env_var_default_out(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ODDCYCLE_OUT", str(tmp_path / "env_out"))
     monkeypatch.chdir(tmp_path)
-    code = main(["norms", "--diamond", "--vector", "1"])
+    code = main(["norms", "--vector", "1"])
     assert code == 0
     capsys.readouterr()
     assert (tmp_path / "env_out" / "norms-report.json").exists()
 
 
 def test_manifest_references_report(tmp_path, capsys):
-    assert main(["norms", "--diamond", "--vector", "1,1", "--out", str(tmp_path)]) == 0
+    assert main(["norms", "--vector", "1,1", "--out", str(tmp_path)]) == 0
     report = json.loads(capsys.readouterr().out)
     manifest = json.loads((tmp_path / "norms-manifest.json").read_text())
     assert manifest["manifest_id"] == report["manifest_id"]
