@@ -199,6 +199,8 @@ def _cmd_qvalue(args) -> dict:
 
 def _cmd_repeat(args) -> dict:
     make_odd_cycle_game(args.n, args.d)  # rejects a bad n or d also when --value is given
+    # the single round first: where it is over budget, no depth-d search runs
+    single = classical_value_exact(make_odd_cycle_game(args.n, 1)).exact
     if args.value is not None:
         value, source = args.value, "supplied"
     else:
@@ -207,7 +209,6 @@ def _cmd_repeat(args) -> dict:
         source = "exact" if ref["exact"] else "search-lower-bound"
         if ref["method"] == "product-witness":
             source = "product-witness"
-    single = classical_value_exact(make_odd_cycle_game(args.n, 1)).exact
     diag = repetition_decay_check(args.n, args.d, value)
     diag["value_source"] = source
     diag["product_bound"] = float(single) ** args.d

@@ -279,12 +279,16 @@ class ValueReport:
 def _bob_histograms(game: GameSpec, alice: np.ndarray) -> np.ndarray:
     """counts[..., y, b]: the draws reaching Bob question y that answer b
     wins against the Alice answers ``alice[..., x]`` (x indexed like
-    alice_questions).  Leading axes of ``alice`` hold independent tables."""
+    alice_questions).  Leading axes of ``alice`` hold independent tables.
+    A count is at most the fan-in, which sets the dtype, and the counts add
+    up one fan-in column at a time, so a batch of many tables never holds
+    an array over all of its draws."""
     xs, ts = game.bob_fan_in()
-    k = game.answers_per_question
-    cells = np.arange(alice[..., 0].size * len(xs)).reshape(alice.shape[:-1] + (len(xs), 1))
-    flat = (alice[..., xs] ^ ts) + k * cells
-    return np.bincount(flat.ravel(), minlength=cells.size * k).reshape(cells.shape[:-1] + (k,))
+    answers = np.arange(game.answers_per_question)
+    counts = np.zeros(alice.shape[:-1] + (len(xs), len(answers)), dtype=np.min_scalar_type(xs.shape[1]))
+    for x, t in zip(xs.T, ts.T):
+        counts += (alice[..., x] ^ t)[..., None] == answers
+    return counts
 
 
 def _checked_witness(game: GameSpec, alice_table: dict, bob_table: dict, exact: Fraction) -> DeterministicStrategy:
@@ -442,7 +446,9 @@ def _exact_alice_exhaustive(game: GameSpec) -> ValueReport:
     )
 
 
-SEARCH_FIRST_CHUNK = 4  # restarts in the first lockstep batch; later batches double
+# most restarts in one lockstep batch, which bounds its arrays: per row nx
+# drawn answers and ny * k counts
+SEARCH_MAX_ROWS = 4096
 
 
 class _SearchBatch:
@@ -454,7 +460,7 @@ class _SearchBatch:
     def __init__(self, game: GameSpec, alice: np.ndarray):
         k = game.answers_per_question
         counts = _bob_histograms(game, alice)
-        self.total = counts.max(axis=2).sum(axis=1)
+        self.total = counts.max(axis=2).sum(axis=1, dtype=np.int64)
         self.counts = np.ascontiguousarray(counts.reshape(len(alice), -1).T)
         self.alice = np.ascontiguousarray(alice.T)
         self.answers = np.arange(k)[:, None]
@@ -488,14 +494,16 @@ class _SearchBatch:
         self.rows = self.rows[: len(self.total)]
 
 
-def _search_rows(game: GameSpec, alice: np.ndarray, restart_after: int, goal=None, steps=None) -> tuple:
+def _search_rows(game: GameSpec, alice: np.ndarray, restart_after: int, goal=None, steps=None, budget=None) -> tuple:
     """Run the local search from every row of ``alice`` (rows, nx) at once,
     step s re-optimising Alice question s % nx, until the row's restart
     (``restart_after`` consecutive passes without a gain), until its total
     reaches ``goal``, or for ``steps`` steps.  Returns per row the initial
     total, the steps run, the final total and table, and whether the row
     stopped on reaching ``goal``.  Once a row reaches ``goal``, the rows
-    after it are dropped."""
+    after it are dropped; so is a row once the rows before it are known to
+    run more than ``budget`` steps in all (a running row counts the steps
+    it has run), as a search scored row after row never reaches it."""
     nx = alice.shape[1]
     batch = _SearchBatch(game, alice)
     initial = batch.total.copy()
@@ -521,6 +529,10 @@ def _search_rows(game: GameSpec, alice: np.ndarray, restart_after: int, goal=Non
             stale = np.where(batch.total > pass_start, 0, stale + 1)
             pass_start = batch.total.copy()
             done |= stale >= restart_after
+            if budget is not None:
+                run = length.copy()
+                run[ids] = s
+                done |= (np.cumsum(run) - run)[ids] > budget
         if done.any():
             length[ids[done]] = s
             final_total[ids[done]] = batch.total[done]
@@ -555,9 +567,12 @@ def classical_value_search(
     nothing but the initial tables, so every restart's trajectory depends
     on its initial table alone and all restarts visit the same Alice
     question at the same step.  The restarts therefore run as lockstep
-    batches (``_search_rows``), drawn in growing chunks, and are then
-    scored in order; a restart stops at the step that reaches the target,
-    and the restart cut by the budget is rerun alone up to the budget.
+    batches (``_search_rows``), each of every restart the remaining budget
+    can hold (every restart lasts at least ``restart_after`` passes), up
+    to SEARCH_MAX_ROWS, and are then scored in order.  The integer draws
+    do not depend on how they are split into calls, so neither do the
+    tables.  A restart stops at the step that reaches the target, and the
+    restart cut by the budget is rerun alone up to the budget.
     """
     if iterations < 1:
         raise GameError("iterations must be at least 1")
@@ -575,12 +590,11 @@ def classical_value_search(
     nx = len(game.alice_questions)
     best_won, best_alice, initial_won = -1, None, None
     it = 1  # the iteration that draws the next restart's table
-    chunk = SEARCH_FIRST_CHUNK
     finished = False
     while not finished:
-        # every restart lasts at least restart_after passes
-        tables = rng.integers(0, k, size=(min(chunk, 1 + (iterations - it) // (restart_after * nx)), nx))
-        initial, length, final_total, final, reached = (a.tolist() for a in _search_rows(game, tables, restart_after, goal))
+        tables = rng.integers(0, k, size=(min(SEARCH_MAX_ROWS, 1 + (iterations - it) // (restart_after * nx)), nx))
+        rows = _search_rows(game, tables, restart_after, goal, budget=iterations - it)
+        initial, length, final_total, final, reached = (a.tolist() for a in rows)
         for r, table in enumerate(tables.tolist()):
             if initial_won is None:
                 initial_won = initial[r]
@@ -600,7 +614,6 @@ def classical_value_search(
                 finished = reached[r]
             if finished:
                 break
-        chunk *= 2
     alice_table = {q: best_alice[i] for i, q in enumerate(game.alice_questions)}
     bob_table, won = _best_response_bob(game, alice_table)
     exact = won * weight

@@ -216,8 +216,9 @@ _RING = np.r_[_GRID[-1], _GRID, _GRID[0]]
 _RING_BASIS = np.stack([np.cos(_RING), -np.sin(_RING), np.cos(2 * _RING), -np.sin(2 * _RING)], axis=1)
 NEWTON_STEPS = 3
 SINGLE_PEAK_STEPS = 8
-# rows (restrictions x starts) from which one batched ascent beats the
-# scalar ascent; below it the per-update numpy call overhead of the batch
+# the batched ascent is taken once rows (restrictions x starts) x keys >=
+# BATCH_MIN_ROWS x update blocks, from BATCH_MIN_ROWS rows on when every key
+# is its own block; below it the per-step numpy call overhead of the batch
 # costs more than the Python loop
 BATCH_MIN_ROWS = 32
 # coordinate sweeps before the first joint Newton polish, and Newton steps
@@ -304,8 +305,10 @@ class _AngleForms:
     k of that side.  Over all keys, Alice's then Bob's, fixed[k, i] marks
     the keys restriction i's Newton polish holds still: those it lacks, and
     the first key of each connected component of its kept edges, where the
-    gauge alpha + c, beta - c leaves the objective unchanged.  Arrays keep
-    the restriction index last."""
+    gauge alpha + c, beta - c leaves the objective unchanged.  blocks lists
+    the coordinate ascent's update blocks (_block), runs of one side's keys
+    that it maximises in one step.  Arrays keep the restriction index
+    last."""
 
     def __init__(self, game: GameSpec, restrictions: list):
         if game.depth > 2:
@@ -349,21 +352,34 @@ class _AngleForms:
             np.add.at(Q, (legs, legs[:, ::-1]), term[:, None])
         self.A[:-1, -1] = self.A[-1, :-1] = b[:-1] / 2
         self.A[-1, -1] = b[-1]
-        # per angle, Alice's then Bob's in key order: its incident edges,
-        # their partner keys and the pairs i <= j of them; then per
-        # restriction the rows [2Q off the incident columns | b] giving z1,
-        # the z2 coefficients of the pairs (Q/2 when i == j), and whether
-        # the restriction has this key
-        self.tables = []
+        # update blocks, Alice's then Bob's in key order: runs of keys of one
+        # side and one degree whose incident edges share no Q entry, so that
+        # updating one key leaves the others' profiles as they are (at depth
+        # 1, Q = 0 and each side is one block)
+        linked = (Q != 0).any(axis=-1)
+        self.blocks = []
         for side in (0, 1):
-            for k in range(len(self.keys[side])):
-                inc = np.flatnonzero(self.ends[side] == k)
-                rows = np.concatenate([2.0 * Q[inc], b[inc, None]], axis=1)
-                rows[:, inc] = 0.0
-                i, j = np.triu_indices(len(inc))
-                coef = (Q[inc[i], inc[j]] * np.where(i == j, 0.5, 1.0)[:, None]).astype(complex)
-                fixed = (side, k, inc, self.ends[1 - side][inc], i, j)
-                self.tables.append((fixed, (rows, coef, self.present[side][k])))
+            incs = [np.flatnonzero(self.ends[side] == k) for k in range(len(self.keys[side]))]
+            first = 0
+            for k in range(1, len(incs) + 1):
+                if k < len(incs) and len(incs[k]) == len(incs[first]):
+                    if not linked[np.ix_(incs[k], np.concatenate(incs[first:k]))].any():
+                        continue
+                self.blocks.append(self._block(side, slice(first, k), np.array(incs[first:k]), Q, b))
+                first = k
+
+    def _block(self, side: int, keys: slice, inc: np.ndarray, Q: np.ndarray, b: np.ndarray) -> tuple:
+        """A block's side, its keys, their incident edges and partner keys
+        (keys x degree) and the pairs i <= j of a key's edges; then per
+        restriction the rows [2Q off the key's incident columns | b] giving
+        z1, the z2 coefficients of the pairs (Q/2 when i == j), and whether
+        the restriction has the key."""
+        rows = np.concatenate([2.0 * Q[inc], b[inc, None]], axis=2)
+        for row, own in zip(rows, inc):
+            row[:, own] = 0.0
+        i, j = np.triu_indices(inc.shape[1])
+        coef = (Q[inc[:, i], inc[:, j]] * np.where(i == j, 0.5, 1.0)[:, None]).astype(complex)
+        return (side, keys, inc, self.ends[1 - side][inc], i, j), (rows, coef, self.present[side][keys])
 
     def starts(self, seeds: list, count: int, inits) -> list:
         """Per side, the start angles over all keys of every row (row index
@@ -393,22 +409,22 @@ class _AngleForms:
         return QubitStrategy(bell_phase_state(0.0), *tables)
 
     def scalar_tables(self, i: int) -> list:
-        """Column i of the per-angle tables, for the angles restriction i asks,
-        as Python lists: (side, k, incident edges, _profile's terms), the
-        terms being the partner keys, b on the incident edges, their nonzero
-        2Q entries (f, 2Q_ef) against the other edges, and the nonzero z2
-        coefficients (i, j, q)."""
+        """Column i of the block tables, key by key, for the angles
+        restriction i asks, as Python lists: (side, k, incident edges,
+        _profile's terms), the terms being the partner keys, b on the
+        incident edges, their nonzero 2Q entries (f, 2Q_ef) against the
+        other edges, and the nonzero z2 coefficients (i, j, q)."""
         out = []
-        for (side, k, inc, partner, pi, pj), (rows, coef, on) in self.tables:
-            if on[i]:
-                M = rows[..., i]
+        for (side, keys, inc, partner, pi, pj), (rows, coef, on) in self.blocks:
+            for t in np.flatnonzero(on[:, i]).tolist():
+                M = rows[t, ..., i]
                 quad = [[(f, q) for f, q in enumerate(row) if q] for row in M[:, :-1].tolist()]
-                block = [(x, y, q) for x, y, q in zip(pi.tolist(), pj.tolist(), coef[:, i].real.tolist()) if q]
-                out.append((side, k, inc.tolist(), (partner.tolist(), M[:, -1].tolist(), quad, block)))
+                own = [(x, y, q) for x, y, q in zip(pi.tolist(), pj.tolist(), coef[t, :, i].real.tolist()) if q]
+                out.append((side, keys.start + t, inc[t].tolist(), (partner[t].tolist(), M[:, -1].tolist(), quad, own)))
         return out
 
 
-def _profile(other: list, r: list, partner: list, b: list, rows: list, block: list) -> tuple:
+def _profile(other: list, r: list, partner: list, b: list, rows: list, own: list) -> tuple:
     """(z1, z2, p) such that, with every other angle fixed, the objective in
     one angle is a constant plus Re(z1 e^{ia}) + Re(z2 e^{2ia}): with p the
     partner phasors (from other) of its incident edges,
@@ -421,7 +437,7 @@ def _profile(other: list, r: list, partner: list, b: list, rows: list, block: li
             h += q * r[f]
         z1 += pe * h
     z2 = 0j
-    for i, j, q in block:
+    for i, j, q in own:
         z2 += q * p[i] * p[j]
     return z1, z2, p
 
@@ -469,9 +485,11 @@ def _forms(A: np.ndarray, r1: np.ndarray) -> np.ndarray:
 
 def _ascend_scalar(forms: _AngleForms, rows: np.ndarray, angles: list, sweeps: int, tol: float) -> tuple:
     """_ascend on Python lists, one row after another: a sweep updates the
-    keys the row's restriction asks, Alice's then Bob's in key order, and a
-    row stops once a sweep gains less than tol.  Below BATCH_MIN_ROWS rows
-    this loop beats the per-update numpy calls of the batch."""
+    keys the row's restriction asks one at a time, Alice's then Bob's in
+    key order (the same iterates as _ascend's block updates), and a row
+    stops once a sweep gains less than tol.  Where the rows times the keys
+    stay below BATCH_MIN_ROWS times the blocks, this loop beats the numpy
+    calls of the batch."""
     ends = [end.tolist() for end in forms.ends]
     values, angles = np.empty(len(rows)), [a.copy() for a in angles]
     for i in dict.fromkeys(rows.tolist()):
@@ -504,29 +522,31 @@ def _ascend_scalar(forms: _AngleForms, rows: np.ndarray, angles: list, sweeps: i
 
 def _ascend(forms: _AngleForms, rows: np.ndarray, angles: list, sweeps: int, tol: float) -> tuple:
     """Sweeps of Gauss-Seidel updates over the rows (row index last) from
-    the start angles, never updating a key a row's restriction lacks; a row
-    drops out of the working arrays once a sweep gains less than tol.
-    Returns every row's last value and angles; the start arrays are left
-    as they are."""
+    the start angles, one step per block of forms.blocks: the keys of a
+    block are maximised together, which gives the iterates of updating them
+    one at a time, since none of them changes another's profile.  A key a
+    row's restriction lacks is never updated; a row drops out of the
+    working arrays once a sweep gains less than tol.  Returns every row's
+    last value and angles; the start arrays are left as they are."""
     angles = [a.copy() for a in angles]
     phase = [_cis(a) for a in angles]
     r1 = np.ones((len(forms.ends[0]) + 1, len(rows)))
     r1[:-1] = (phase[0][forms.ends[0]] * phase[1][forms.ends[1]]).real
     A = forms.A[..., rows]
-    tables = [(fixed, [x[..., rows] for x in per_row]) for fixed, per_row in forms.tables]
+    blocks = [(fixed, [x[..., rows] for x in per_row]) for fixed, per_row in forms.blocks]
     value = _forms(A, r1)
     final = (value.copy(), [a.copy() for a in angles])
     live = np.arange(len(rows))
     with np.errstate(divide="ignore", invalid="ignore"):
         for sweep in range(sweeps):
-            for (side, k, inc, partner, i, j), (M, coef, on) in tables:
+            for (side, keys, inc, partner, i, j), (M, coef, on) in blocks:
                 p = phase[1 - side][partner]
-                z1 = (p * np.einsum("ier,er->ir", M, r1)).sum(axis=0)
-                z2 = (p[i] * p[j] * coef).sum(axis=0)
-                a = np.where(on, _maximize_profiles(z1, z2, on), angles[side][k])
-                angles[side][k] = a
-                phase[side][k] = w = _cis(a)
-                r1[inc] = (w * p).real
+                z1 = (p * np.einsum("kier,er->kir", M, r1)).sum(axis=1)
+                z2 = (p[:, i] * p[:, j] * coef).sum(axis=1)
+                best = _maximize_profiles(z1.ravel(), z2.ravel(), on.ravel()).reshape(on.shape)
+                angles[side][keys] = a = np.where(on, best, angles[side][keys])
+                phase[side][keys] = w = _cis(a)
+                r1[inc] = (w[:, None] * p).real
             value, previous = _forms(A, r1), value
             going = ~(value - previous < tol) & (sweep + 1 < sweeps)
             if going.all():
@@ -538,7 +558,7 @@ def _ascend(forms: _AngleForms, rows: np.ndarray, angles: list, sweeps: int, tol
                 break
             live, value, A, r1 = live[going], value[going], A[..., going], r1[:, going]
             angles, phase = [a[:, going] for a in angles], [f[:, going] for f in phase]
-            for _, per_row in tables:  # one table at a time, so old and new never all coexist
+            for _, per_row in blocks:  # one block at a time, so old and new never all coexist
                 per_row[:] = [x[..., going] for x in per_row]
     return final
 
@@ -569,12 +589,13 @@ def _derivatives(forms: _AngleForms, A: np.ndarray, u: np.ndarray, r1: np.ndarra
     s = sin(theta) and g = b + 2 Q r, they are -g s and
     2 Q o (s s^T) - diag(g r) in theta, summed over each key's incident
     edges."""
-    incident = [inc for (_, _, inc, *_), _ in forms.tables]
+    split = len(forms.keys[0])
+    blocks = [(side * split + keys.start, side * split + keys.stop, inc) for (side, keys, inc, *_), _ in forms.blocks]
 
     def by_key(v: np.ndarray) -> np.ndarray:
-        out = np.empty((len(incident),) + v.shape[1:])
-        for k, inc in enumerate(incident):
-            v[inc].sum(axis=0, out=out[k])
+        out = np.empty((len(forms.fixed),) + v.shape[1:])
+        for first, stop, inc in blocks:
+            v[inc].sum(axis=1, out=out[first:stop])
         return out
 
     g, s = 2.0 * np.einsum("efr,fr->er", A[:-1], r1), u.imag
@@ -643,8 +664,9 @@ def optimize_restrictions(
     objective and row i*starts + j runs start j of restriction i.  The
     rows run in rounds of POLISH_AFTER coordinate sweeps, each ended by a
     _polish, up to `sweeps` sweeps in all; a row leaves once it settles or
-    a round gains less than tol.  From BATCH_MIN_ROWS rows on, a round's
-    ascent runs its rows as one batch, below it one after another.  The
+    a round gains less than tol.  A round's ascent runs its rows as one
+    batch once rows x keys >= BATCH_MIN_ROWS x update blocks (at depth 2,
+    from BATCH_MIN_ROWS rows on), below it one after another.  The
     first best start of each restriction wins; its value is a polished
     local maximum, a heuristic lower bound on the restriction's supremum."""
     if len(restrictions) != len(seeds):
@@ -655,9 +677,10 @@ def optimize_restrictions(
     angles = forms.starts(seeds, starts, inits)
     values = np.full(len(rows), -np.inf)
     todo, spent = np.arange(len(rows)), 0
+    keys, blocks = len(forms.fixed), len(forms.blocks)
     while True:
         run = min(POLISH_AFTER, sweeps - spent)
-        ascend = _ascend if len(todo) >= BATCH_MIN_ROWS else _ascend_scalar
+        ascend = _ascend if len(todo) * keys >= BATCH_MIN_ROWS * blocks else _ascend_scalar
         part = ascend(forms, rows[todo], [side[:, todo] for side in angles], run, tol)[1]
         got, part, settled = _polish(forms, rows[todo], part)
         gained = got - values[todo]

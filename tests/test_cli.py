@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -13,7 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oddcycle
-from oddcycle import cli
+from oddcycle import cli, games
 from oddcycle.cli import main
 from oddcycle.experiments import estimate_events
 from oddcycle.serialize import dumps
@@ -127,6 +128,24 @@ def test_qvalue_report(tmp_path, capsys):
     assert data["bias"]["within"] is True
 
 
+def test_search_report_bytes_and_step_count(tmp_path, capsys, monkeypatch):
+    # the bench's n=5, d=2 search: the report bytes do not depend on how
+    # the restarts are batched
+    steps = []
+    real = games._SearchBatch.step
+    monkeypatch.setattr(games._SearchBatch, "step", lambda batch, x: steps.append(x) or real(batch, x))
+    argv = ["value", "--game", "odd-cycle", "--n", "5", "--d", "2", "--method", "search"]
+    assert main(argv + ["--iterations", "100000", "--seed", "42", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out)["report"]
+    assert report["value"]["fraction"] == "17/20" and report["evaluations"] == 100000
+    assert [a for _, a in report["witness"]["alice"]] == [1, 3, 1, 3, 3, 0, 2, 0, 2, 0, 3, 3, 1, 3, 1, 1, 3, 0, 2, 0, 0, 2, 0, 3, 2]
+    assert hashlib.sha256(out.encode()).hexdigest() == "3a03073f14f6d5a40de3e998e3c04dbd94415bc4317738fa2a3093098ec53d73"
+    # one batch of every restart the budget can hold: 225 lockstep steps,
+    # then 99 for the restart the budget cuts, rerun alone
+    assert len(steps) < 400
+
+
 def test_blocker_verify_and_min(tmp_path, capsys):
     code = main(["blocker", "--n", "3", "--action", "min", "--out", str(tmp_path)])
     assert code == 0
@@ -188,6 +207,15 @@ def test_repeat_value_never_below_product_witness(tmp_path, capsys):
     assert data["value_source"] == "product-witness"
     assert data["value"] == data["product_bound"] == float(Fraction(29, 30) ** 2)
     assert elapsed < 10.0
+
+
+def test_repeat_refuses_before_the_depth_d_search(tmp_path, capsys, monkeypatch):
+    # at n = 27 the single round's 2^27 Alice tables exceed the budget
+    calls = []
+    monkeypatch.setattr(cli, "classical_reference", lambda *a, **k: calls.append(a))
+    assert main(["repeat", "--n", "27", "--d", "2", "--out", str(tmp_path)]) == 1
+    assert json.loads(capsys.readouterr().out)["refusal"].startswith(f"{1 << 27} alice tables exceed the budget")
+    assert calls == []
 
 
 REPEAT_N11_D2 = """{

@@ -15,6 +15,7 @@ from oddcycle.games import (
     StrategyError,
     _SearchBatch,
     _best_response_bob,
+    _search_rows,
     classical_value_exact,
     classical_value_search,
     evaluate_strategy,
@@ -238,12 +239,27 @@ def test_search_batch_tracks_recount(game):
 
 @pytest.mark.parametrize("k", [2, 4, 8])
 def test_search_table_draws_match_scalar_draws(k):
-    # the search draws its restarts' tables in row chunks; the stream must
+    # the search draws its restarts' tables in row batches; the stream must
     # equal one scalar draw per Alice question, restart after restart
     scalar, chunked = np.random.default_rng(3), np.random.default_rng(3)
     rows = [[int(scalar.integers(0, k)) for _ in range(7)] for _ in range(7)]
     drawn = [chunked.integers(0, k, size=(size, 7)).tolist() for size in (1, 2, 4)]
     assert sum(drawn, []) == rows
+
+
+@pytest.mark.parametrize("game", [make_odd_cycle_game(5, 2), make_chsh_game(2)], ids=["odd-cycle-5-2", "chsh-2"])
+def test_search_rows_drop_only_rows_past_the_budget(game):
+    # a row is reached when the rows before it run at most `budget` steps
+    # in all; a budget drops the rows past it and leaves the others alone
+    tables = np.random.default_rng(8).integers(0, game.answers_per_question, size=(40, len(game.alice_questions)))
+    full = _search_rows(game, tables, 4)
+    before = np.cumsum(full[1]) - full[1]
+    for budget in (0, 1, int(before[5]), int(before[5]) - 1, int(before[20]) + 7):
+        cut = _search_rows(game, tables, 4, budget=budget)
+        reached = before <= budget
+        for want, got in zip(full, cut):
+            assert (want[reached] == got[reached]).all()
+        assert (cut[1][~reached] < full[1][~reached]).any()
 
 
 SEARCH_GAMES = {
@@ -266,9 +282,14 @@ def _search_probe(name):
     return ref
 
 
+@functools.lru_cache(maxsize=None)
+def _reference_loop(game, iterations, target):
+    return local_search_reference(game, 0, iterations, target=target)
+
+
 def _assert_search_matches_reference(game, iterations, target):
     report = classical_value_search(game, seed=0, iterations=iterations, target=target)
-    ref = local_search_reference(game, 0, iterations, target=target)
+    ref = _reference_loop(game, iterations, target)
     weight = game.pairs[0][2]
     assert report.exact == ref["won"] * weight
     assert report.witness.alice_table == ref["alice"]
@@ -278,9 +299,17 @@ def _assert_search_matches_reference(game, iterations, target):
     return ref
 
 
-@pytest.mark.parametrize("budget", ["1", "2", "nx", "nx+1", "first-restart", "second-restart", "mid-row"])
+SEARCH_BUDGETS = ["1", "2", "nx", "nx+1", "first-restart", "second-restart", "mid-row"]
+SEARCH_TARGETS = ["initial", "mid-row", "never"]
+
+
+@pytest.mark.parametrize("budget", SEARCH_BUDGETS)
 @pytest.mark.parametrize("name", list(SEARCH_GAMES))
 def test_search_matches_reference_loop_on_budgets(name, budget):
+    _check_search_budget(name, budget)
+
+
+def _check_search_budget(name, budget):
     game = SEARCH_GAMES[name]
     nx = len(game.alice_questions)
     restarts = _search_probe(name)["restarts"]
@@ -313,10 +342,13 @@ def test_search_scores_the_table_drawn_on_the_last_iteration():
 
 @pytest.mark.parametrize(
     "name, reached",
-    [(name, reached) for name in SEARCH_GAMES for reached in ("initial", "mid-row", "never")]
-    + [("odd-cycle-5-2", "later-row")],
+    [(name, reached) for name in SEARCH_GAMES for reached in SEARCH_TARGETS] + [("odd-cycle-5-2", "later-row")],
 )
 def test_search_matches_reference_loop_on_targets(name, reached):
+    _check_search_target(name, reached)
+
+
+def _check_search_target(name, reached):
     game = SEARCH_GAMES[name]
     nx = len(game.alice_questions)
     probe = _search_probe(name)
@@ -333,6 +365,20 @@ def test_search_matches_reference_loop_on_targets(name, reached):
     assert ref["evaluations"] == stop
     where = {"initial": stop == 1, "mid-row": 1 < stop < restart, "later-row": stop > restart, "never": True}
     assert where[reached]
+
+
+@pytest.mark.parametrize("cap", [2, 4])
+@pytest.mark.parametrize("name", list(SEARCH_GAMES))
+def test_search_matches_reference_loop_across_batches(name, cap, monkeypatch):
+    # batches of at most `cap` restarts, so the longer budgets span several
+    monkeypatch.setattr(games, "SEARCH_MAX_ROWS", cap)
+    for budget in SEARCH_BUDGETS:
+        _check_search_budget(name, budget)
+    for reached in SEARCH_TARGETS + (["later-row"] if name == "odd-cycle-5-2" else []):
+        _check_search_target(name, reached)
+    # the probe's whole budget, restart after restart, as in a long search
+    probe = _search_probe(name)
+    assert _assert_search_matches_reference(SEARCH_GAMES[name], probe["evaluations"], None)["won"] == max(probe["history"])
 
 
 def test_best_response_disagreement_raises(monkeypatch):

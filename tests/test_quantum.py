@@ -377,14 +377,14 @@ def test_maximize_profile_beats_fine_grid(z1, z2, z1_scale):
     assert profile(np.array([best]))[0] >= profile(FINE_GRID).max() - 1e-12
 
 
-def _restrictions(n):
+def _restrictions(n, depth=2):
     """Surviving pairs of seeded samples, random pair sets, the full game,
     and sets that drop every pair asking Alice key 0 or Bob key 1."""
-    game = make_odd_cycle_game(n, 2)
+    game = make_odd_cycle_game(n, depth)
     law = ExperimentConfig().removal_law
     cases = []
     for index in range(6):
-        contraction = contraction_map(sample_torical_graph(n, 2, law, _sample_rng(42, n, index))["graph"])
+        contraction = contraction_map(sample_torical_graph(n, depth, law, _sample_rng(42, n, index))["graph"])
         if contraction.image_count:
             cases.append(set(contraction.surviving))
     rng = np.random.default_rng(n)
@@ -399,7 +399,13 @@ def _restrictions(n):
 # after 3 sweeps the starts still differ, so every row's own path shows
 @pytest.mark.parametrize("sweeps", [3, 200])
 def test_batched_restrictions_match_scalar_kernel(n, starts, sweeps):
-    game, cases = _restrictions(n)
+    # at depth 1 a sweep is two block steps, at depth 2 one step per key
+    for depth in (1, 2):
+        _check_batched_matches_scalar(n, starts, sweeps, depth)
+
+
+def _check_batched_matches_scalar(n, starts, sweeps, depth):
+    game, cases = _restrictions(n, depth)
     canonical = canonical_odd_cycle_strategy(n)
     inits = [(dict(canonical.alice_angles), dict(canonical.bob_angles))]
     seeds = [101 + i for i in range(len(cases))]
@@ -422,6 +428,51 @@ def test_batched_restrictions_match_scalar_kernel(n, starts, sweeps):
     reverse = _AngleForms(game, cases[::-1])
     values = _ascend(reverse, rows, reverse.starts(seeds[::-1], starts, inits), sweeps, 1e-12)[0]
     assert values.reshape(-1, starts)[::-1].ravel().tolist() == batched[0].tolist()
+
+
+def _block_sizes(forms):
+    return [(side, keys.stop - keys.start) for (side, keys, *_), _ in forms.blocks]
+
+
+@pytest.mark.parametrize(
+    "game",
+    [make_odd_cycle_game(3, 1), make_odd_cycle_game(15, 1), make_chsh_game(1)],
+    ids=["odd-cycle-n3", "odd-cycle-n15", "chsh"],
+)
+def test_depth_one_sides_are_single_blocks(game):
+    # Q = 0: no key's update changes another key's profile
+    forms = _AngleForms(game, [None])
+    assert _block_sizes(forms) == [(0, len(forms.keys[0])), (1, len(forms.keys[1]))]
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_depth_two_keys_are_single_blocks(n):
+    game, cases = _restrictions(n)
+    for restrictions in ([None], cases):
+        forms = _AngleForms(game, restrictions)
+        assert _block_sizes(forms) == [(0, 1)] * n + [(1, 1)] * n
+
+
+def test_depth_one_sweep_maximizes_once_per_block(monkeypatch):
+    forms = _AngleForms(make_odd_cycle_game(15, 1), [None])
+    calls = []
+    real = quantum._maximize_profiles
+    monkeypatch.setattr(quantum, "_maximize_profiles", lambda *a: calls.append(len(a[0])) or real(*a))
+    sweeps, rows = 3, np.zeros(8, dtype=int)
+    _ascend(forms, rows, forms.starts([0], 8, None), sweeps, -np.inf)  # no row stops early
+    assert calls == [15 * 8] * (2 * sweeps)
+
+
+def test_depth_one_routes_by_work_per_sweep(monkeypatch):
+    # 8 rows: n = 3 stays below BATCH_MIN_ROWS x 2 blocks = 64 row-keys, n = 5 does not
+    calls = []
+    for name in ("_ascend", "_ascend_scalar"):
+        real = getattr(quantum, name)
+        monkeypatch.setattr(quantum, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    for n, want in ((3, "_ascend_scalar"), (5, "_ascend")):
+        calls.clear()
+        optimize_angles(make_odd_cycle_game(n, 1), starts=8)
+        assert calls[0] == want
 
 
 def test_ascents_leave_their_starts_unchanged():
