@@ -207,8 +207,8 @@ def _cmd_repeat(args) -> dict:
         ref = classical_reference(args.n, args.d, seed=args.seed, iterations=args.iterations)
         value = float(ref["value"])
         source = "exact" if ref["exact"] else "search-lower-bound"
-        if ref["method"] == "product-witness":
-            source = "product-witness"
+        if ref["method"] == "wedge-witness":
+            source = "wedge-witness"
     diag = repetition_decay_check(args.n, args.d, value)
     diag["value_source"] = source
     diag["product_bound"] = float(single) ** args.d
@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--value", type=float, default=None)
-    p.add_argument("--iterations", type=int, default=200_000)
+    p.add_argument("--iterations", type=int, default=200_000, help="search budget, used only at d >= 3")
 
     p = sub.add_parser("pearls", help="consistent regions and growth")
     common(p)

@@ -204,9 +204,16 @@ def test_repeat_value_never_below_product_witness(tmp_path, capsys):
     assert main(["repeat", "--n", "15", "--d", "2", "--out", str(tmp_path)]) == 0
     elapsed = time.perf_counter() - t0
     data = json.loads(capsys.readouterr().out)
-    assert data["value_source"] == "product-witness"
-    assert data["value"] == data["product_bound"] == float(Fraction(29, 30) ** 2)
+    assert data["value_source"] == "wedge-witness"
+    assert data["value"] == float(Fraction(19, 20)) > data["product_bound"] == float(Fraction(29, 30) ** 2)
     assert elapsed < 10.0
+
+
+def test_repeat_keeps_the_search_at_depth_three(tmp_path, capsys):
+    # at d >= 3 the seeded search beats the wedge witness's 135/216
+    assert main(["repeat", "--n", "3", "--d", "3", "--out", str(tmp_path)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["value"] == float(Fraction(137, 216)) and data["value_source"] == "search-lower-bound"
 
 
 def test_repeat_refuses_before_the_depth_d_search(tmp_path, capsys, monkeypatch):
@@ -221,20 +228,20 @@ def test_repeat_refuses_before_the_depth_d_search(tmp_path, capsys, monkeypatch)
 REPEAT_N11_D2 = """{
   "bound_quantity": 0.15442214550691258,
   "d": 2,
-  "gap": 0.07644628099173556,
+  "gap": 0.06818181818181823,
   "in_regime": true,
   "manifest_id": "402bff1b0336893b",
   "n": 11,
   "product_bound": 0.9111570247933886,
   "schema": "oddcycle.repeat/1",
-  "value": 0.9235537190082644,
-  "value_source": "search-lower-bound"
+  "value": 0.9318181818181818,
+  "value_source": "wedge-witness"
 }
 """
 
 
 def test_repeat_search_report_bytes(tmp_path, capsys):
-    # 447/484 from the seed-0 local search beats the 441/484 witness
+    # the 451/484 wedge witness; the seed-0 local search reaches only 447/484
     assert main(["repeat", "--n", "11", "--d", "2", "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().out == REPEAT_N11_D2
     assert (tmp_path / "repeat-report.json").read_text() == REPEAT_N11_D2

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oddcycle import experiments
 from oddcycle.experiments import (
     ExperimentConfig,
     ExperimentError,
@@ -28,6 +29,7 @@ from oddcycle.experiments import (
     sample_torical_graph,
     untouched_vertices,
 )
+from oddcycle.games import classical_value_search, make_odd_cycle_game
 from oddcycle.serialize import dumps
 from oddcycle.torus import (
     TorusGraph,
@@ -261,22 +263,27 @@ def test_ratio_variants():
         ratio_variants(0.8, 0.75, 0.0)
 
 
-def test_classical_reference_modes():
+def test_classical_reference_modes(monkeypatch):
     exact = classical_reference(3, 2)
-    assert exact["exact"] and exact["value"] == Fraction(3, 4)
-    search = classical_reference(5, 2, seed=1, iterations=5000)
-    assert not search["exact"]
-    assert search["method"] == "local-search"
-    assert search["value"] >= Fraction(8, 10)
+    assert exact == {"value": Fraction(3, 4), "method": "alice-exhaustive-best-response", "exact": True}
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the depth-2 reference ran the local search")
+
+    monkeypatch.setattr(experiments, "classical_value_search", no_search)
+    for n in range(5, 16, 2):
+        ref = classical_reference(n, 2)
+        assert ref == {"value": 1 - Fraction(3, 4 * n), "method": "wedge-witness", "exact": False}
 
 
 @pytest.mark.parametrize("seed", [0, 42])
 def test_classical_reference_never_below_product_witness(seed):
-    for n in range(3, 16, 2):
-        ref = classical_reference(n, 2, seed=seed)
-        assert ref["value"] >= Fraction(2 * n - 1, 2 * n) ** 2
-    # at n = 15 the 60k-iteration search stops below the x mod 2 witness
-    assert ref == {"value": Fraction(29, 30) ** 2, "method": "product-witness", "exact": False}
+    # the wedge witness took the place of the estimator's 60k-iteration
+    # search, so it must not fall below that search at either seed
+    for n in range(5, 16, 2):
+        ref = classical_reference(n, 2)["value"]
+        assert ref >= Fraction(2 * n - 1, 2 * n) ** 2
+        assert ref >= classical_value_search(make_odd_cycle_game(n, 2), seed=seed, iterations=60_000).exact
 
 
 def test_prefactors_on_fixture():

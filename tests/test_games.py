@@ -25,7 +25,9 @@ from oddcycle.games import (
     repetition_decay_check,
     strategy_from_coordinate_rule,
     strategy_power,
+    wedge_witness,
 )
+from oddcycle.regions import value_via_regions
 from oddcycle.torus import BudgetExceeded
 
 from oracles import best_response_won, brute_force_value, exhaustive_witness, local_search_reference
@@ -432,6 +434,23 @@ def test_product_witness_supermultiplicativity():
     single = classical_value_exact(g1, mode="full")
     power = strategy_power(single.witness, 2)
     assert evaluate_strategy(g2, power) == single.exact**2
+
+
+def test_wedge_witness_value_agrees_with_regions_oracle():
+    for n in range(3, 16, 2):
+        witness = wedge_witness(n, 2)
+        value = evaluate_strategy(make_odd_cycle_game(n, 2), witness)
+        assert value == value_via_regions(witness.alice_table, n, 2) == 1 - Fraction(3, 4 * n)
+
+
+def test_wedge_witness_depth_one_and_three():
+    # d = 1 is the x mod 2 strategy; at d = 3 the third bit is x2 mod 2, a
+    # product strategy on a product game, so the values multiply
+    for n in (3, 5, 7):
+        assert wedge_witness(n, 1) == xmod2(make_odd_cycle_game(n, 1))
+    for n in (3, 5):
+        value = evaluate_strategy(make_odd_cycle_game(n, 3), wedge_witness(n, 3))
+        assert value == (1 - Fraction(3, 4 * n)) * (1 - Fraction(1, 2 * n))
 
 
 def test_search_deterministic_and_bounded():
