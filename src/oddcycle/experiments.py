@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 from itertools import combinations, product
@@ -47,6 +48,7 @@ from .torus import (
     make_tube,
     min_blocker,
     torus_edges,
+    touches_every_axis_loop,
     transverse_cut_blocker,
     verify_blocker,  # unused here; perfbench/spans.py traces this binding
 )
@@ -132,6 +134,15 @@ def classify_count_ratio(ratio: float, low: float, high: float) -> int:
 
 
 MAX_SAMPLE_ATTEMPTS = 100_000
+# a fixed-size law draws this many attempts one by one, then chunks of
+# attempts, each as large as the attempts so far and at least its size
+SAMPLE_SINGLE_ATTEMPTS = 8
+# bound on a chunk's rows x edges, which bounds each of its arrays; a law
+# is chunked only if size x edges fits, so that a chunk holds size rows
+SAMPLE_CHUNK_CELLS = 1 << 16
+# numpy's choice(N, k, replace=False) is Floyd's algorithm unless
+# N > FLOYD_MAX_POPULATION and k > N // 50, where it is a tail shuffle
+FLOYD_MAX_POPULATION = 10_000
 # removal-law kind -> the keys it needs
 REMOVAL_LAWS = {
     "transverse": (),
@@ -142,10 +153,21 @@ REMOVAL_LAWS = {
 
 
 def _check_removal_law(removal_law: dict):
-    """ExperimentError unless the law has a REMOVAL_LAWS kind and its keys."""
+    """ExperimentError unless the law has a REMOVAL_LAWS kind and its keys,
+    sizes are integers (not bools) and fractions finite real numbers."""
     needs = REMOVAL_LAWS.get(removal_law.get("kind"))
     if needs is None or not all(key in removal_law for key in needs):
         raise ExperimentError(f"unknown removal law {removal_law!r}")
+    fraction = removal_law["kind"] == "uniform-edge-fraction"
+    for key in needs:
+        value = removal_law[key]
+        if fraction:
+            good = isinstance(value, numbers.Real) and math.isfinite(value)
+        else:
+            good = isinstance(value, numbers.Integral)
+        if isinstance(value, bool) or not good:
+            what = "a finite number" if fraction else "an integer"
+            raise ExperimentError(f"unknown removal law {removal_law!r}: {key!r} must be {what}")
 
 
 def sample_torical_graph(n: int, d: int, removal_law: dict, rng) -> dict:
@@ -160,6 +182,16 @@ def sample_torical_graph(n: int, d: int, removal_law: dict, rng) -> dict:
     - {"kind": "uniform-edge-fraction", "low": f, "high": g}: like the
       range law with bounds given as fractions of the edge count, so one
       law covers every n.
+
+    Each attempt draws ``rng.choice(N, size, replace=False)`` (N edges),
+    after ``rng.integers(a, b + 1)`` for the size when a < b.  A law whose
+    size is fixed (a == b, or ``uniform-size``) and whose size x N is at
+    most SAMPLE_CHUNK_CELLS draws SAMPLE_SINGLE_ATTEMPTS attempts so, then
+    draws in chunks (``_first_blocker_in_chunks``), unless
+    N > FLOYD_MAX_POPULATION and size > N // 50, where numpy's choice is
+    not Floyd's algorithm.  The other laws draw attempt by attempt
+    throughout.  Both give the stream, the attempts and the accepted graph
+    of the per-attempt loop.
 
     Returns the graph plus attempt statistics; aborts with diagnostics when
     the acceptance rate collapses.
@@ -182,19 +214,85 @@ def sample_torical_graph(n: int, d: int, removal_law: dict, rng) -> dict:
             f"removal size range [{low}, {high}] outside [0, {len(edges)}] edges"
         )
 
-    for attempts in range(1, MAX_SAMPLE_ATTEMPTS + 1):
+    fixed = (
+        kind != "transverse"
+        and low == high
+        and low * len(edges) <= SAMPLE_CHUNK_CELLS
+        and not (len(edges) > FLOYD_MAX_POPULATION and low > len(edges) // 50)
+    )
+    single = min(SAMPLE_SINGLE_ATTEMPTS, MAX_SAMPLE_ATTEMPTS) if fixed else MAX_SAMPLE_ATTEMPTS
+    found = _first_blocker_per_attempt(n, d, kind, low, high, rng, single)
+    if found is None and fixed:
+        found = _first_blocker_in_chunks(n, d, low, rng, single)
+    if found is None:
+        raise SamplingError(
+            f"no torical sample accepted in {MAX_SAMPLE_ATTEMPTS} attempts "
+            f"(n={n}, d={d}, law={removal_law}); acceptance below 1e-4"
+        )
+    attempts, ids = found
+    g = TorusGraph(n, d, frozenset(edges[i] for i in ids))
+    return {"graph": g, "attempts": attempts, "accepted": True}
+
+
+def _first_blocker_per_attempt(n: int, d: int, kind: str, low: int, high: int, rng, limit: int) -> Optional[tuple]:
+    """(attempts, edge ids) of the first blocking attempt, drawing its size
+    (unless ``uniform-size``) and then its edges, or None once ``limit``
+    attempts fail."""
+    count = d * n ** d
+    for attempts in range(1, limit + 1):
         if kind == "transverse":
             ids = [edge_id(e, n) for e in transverse_cut_blocker(n, d)]
         else:
             size = low if kind == "uniform-size" else int(rng.integers(low, high + 1))
-            ids = rng.choice(len(edges), size=size, replace=False).tolist()
+            ids = rng.choice(count, size=size, replace=False).tolist()
         if is_blocker(n, d, ids, "odd-only"):
-            g = TorusGraph(n, d, frozenset(edges[i] for i in ids))
-            return {"graph": g, "attempts": attempts, "accepted": True}
-    raise SamplingError(
-        f"no torical sample accepted in {MAX_SAMPLE_ATTEMPTS} attempts "
-        f"(n={n}, d={d}, law={removal_law}); acceptance below 1e-4"
-    )
+            return attempts, ids
+    return None
+
+
+def _first_blocker_in_chunks(n: int, d: int, size: int, rng, attempts: int) -> Optional[tuple]:
+    """What ``_first_blocker_per_attempt`` returns for a fixed size after
+    ``attempts`` failed attempts, with the generator left in the same
+    state, or None at MAX_SAMPLE_ATTEMPTS.
+
+    ``rng.choice(N, size, replace=False)`` is Floyd's algorithm: for
+    j = N - size ... N - 1 it draws an integer in [0, j] and takes j
+    instead when the draw is already taken; its shuffle then draws in
+    [0, i] for i = size - 1 ... 1.  One ``rng.integers`` call with these
+    bounds for every row of a chunk gives the same draws and leaves the
+    same state.  The shuffle's draws go unused, as a sample is a set.
+    Rows that miss an axis loop fail ``is_blocker`` at odd n, so only the
+    others reach it, in row order; on the first blocking row the state is
+    restored and the draws up to that row are made again.  A chunk is as
+    large as the attempts so far, and at least ``size`` rows, so that its
+    ``size`` column steps cost little per row, within SAMPLE_CHUNK_CELLS.
+    """
+    count = d * n ** d
+    highs = np.concatenate((np.arange(count - size, count), np.arange(size - 1, 0, -1))) + 1
+    cap = max(1, SAMPLE_CHUNK_CELLS // count)
+    while attempts < MAX_SAMPLE_ATTEMPTS:
+        rows = min(max(attempts, size, 1), cap, MAX_SAMPLE_ATTEMPTS - attempts)
+        state = rng.bit_generator.state
+        drawn = rng.integers(0, highs, size=(rows, len(highs)))
+        removed = np.zeros((rows, count), dtype=bool)
+        flat = removed.reshape(-1)
+        starts = np.arange(0, rows * count, count)[:, None]
+        # per column of Floyd's draws: each row's flat pick and its j
+        picks = (drawn[:, :size] + starts).T.copy()
+        tails = (np.arange(count - size, count) + starts).T.copy()
+        for pick, tail in zip(picks, tails):
+            flat[np.where(flat[pick], tail, pick)] = True
+        # odd-only is_blocker accepts every removal at even n
+        candidates = np.flatnonzero(touches_every_axis_loop(n, d, removed)) if n % 2 else np.arange(rows)
+        # Floyd's sample has exactly size edges
+        removals = np.nonzero(removed[candidates])[1].reshape(len(candidates), size).tolist()
+        for r, ids in zip(candidates.tolist(), removals):
+            if is_blocker(n, d, ids, "odd-only"):
+                rng.bit_generator.state = state
+                rng.integers(0, highs, size=(r + 1, len(highs)))
+                return attempts + r + 1, ids
+        attempts += rows
+    return None
 
 
 # -- restricted values ---------------------------------------------------------

@@ -468,6 +468,8 @@ def _exact_alice_exhaustive(game: GameSpec) -> ValueReport:
 # most restarts in one lockstep batch, which bounds its arrays: per row nx
 # drawn answers and ny * k counts
 SEARCH_MAX_ROWS = 4096
+# restarts in a targeted search's first batch; each later batch doubles
+SEARCH_GOAL_FIRST_ROWS = 4
 
 
 class _SearchBatch:
@@ -588,10 +590,13 @@ def classical_value_search(
     question at the same step.  The restarts therefore run as lockstep
     batches (``_search_rows``), each of every restart the remaining budget
     can hold (every restart lasts at least ``restart_after`` passes), up
-    to SEARCH_MAX_ROWS, and are then scored in order.  The integer draws
-    do not depend on how they are split into calls, so neither do the
-    tables.  A restart stops at the step that reaches the target, and the
-    restart cut by the budget is rerun alone up to the budget.
+    to SEARCH_MAX_ROWS, and are then scored in order.  With a target, the
+    first batch holds at most SEARCH_GOAL_FIRST_ROWS restarts and each
+    later one at most twice as many, as an early restart may reach it.
+    The integer draws do not depend on how they are split into calls, so
+    neither do the tables.  A restart stops at the step that reaches the
+    target, and the restart cut by the budget is rerun alone up to the
+    budget.
     """
     if iterations < 1:
         raise GameError("iterations must be at least 1")
@@ -610,8 +615,11 @@ def classical_value_search(
     best_won, best_alice, initial_won = -1, None, None
     it = 1  # the iteration that draws the next restart's table
     finished = False
+    batch_rows = SEARCH_MAX_ROWS if goal is None else SEARCH_GOAL_FIRST_ROWS
     while not finished:
-        tables = rng.integers(0, k, size=(min(SEARCH_MAX_ROWS, 1 + (iterations - it) // (restart_after * nx)), nx))
+        restarts = min(batch_rows, SEARCH_MAX_ROWS, 1 + (iterations - it) // (restart_after * nx))
+        tables = rng.integers(0, k, size=(restarts, nx))
+        batch_rows *= 2
         rows = _search_rows(game, tables, restart_after, goal, budget=iterations - it)
         initial, length, final_total, final, reached = (a.tolist() for a in rows)
         for r, table in enumerate(tables.tolist()):

@@ -22,6 +22,8 @@ from functools import lru_cache
 from itertools import compress, product
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
+
 Vertex = tuple
 Edge = tuple  # (vertex, axis)
 
@@ -366,6 +368,23 @@ def _edge_loops(n: int, d: int) -> tuple:
             place = n ** (d - 1 - axis)
             loops.append(axis * n ** (d - 1) + tail // (place * n) * place + tail % place)
     return tuple(loops)
+
+
+@lru_cache(maxsize=32)
+def _loop_major_edges(n: int, d: int) -> np.ndarray:
+    """Edge ids grouped by axis loop (see ``_edge_loops``): row i of the
+    (d * n^(d-1), n) reshape holds the n edges of loop i."""
+    order = np.argsort(np.array(_edge_loops(n, d)), kind="stable")
+    order.flags.writeable = False
+    return order
+
+
+def touches_every_axis_loop(n: int, d: int, removed: np.ndarray) -> np.ndarray:
+    """Per row of the (rows, edges) boolean edge-id mask ``removed``:
+    whether the removal holds an edge of every axis loop, the test that
+    ``is_blocker`` makes before its union-find, for many removals at once."""
+    loops = removed[:, _loop_major_edges(n, d)].reshape(len(removed), d * n ** (d - 1), n)
+    return loops.any(axis=2).all(axis=1)
 
 
 def is_blocker(n: int, d: int, removed, mode: str = "all-nontrivial") -> bool:

@@ -243,3 +243,28 @@ def angle_objective(game, alice, bob, restrict_pairs=None):
         total += term
         weight += float(w)
     return total / weight
+
+
+def torical_sample_reference(n, d, removal_law, rng, max_attempts):
+    """The torical rejection sampler as a plain loop: each attempt draws
+    its size (``rng.integers`` in [low, high], unless the law is
+    ``uniform-size``) and then its edge ids with ``rng.choice``, and is
+    kept when ``verify_blocker`` finds no odd cycle.  Returns (attempts,
+    sorted edge ids) of the first kept attempt, or None after
+    ``max_attempts``."""
+    from oddcycle.torus import TorusGraph, verify_blocker
+
+    edges = sorted(TorusGraph(n, d).all_edges())
+    kind = removal_law["kind"]
+    if kind == "uniform-size":
+        low = high = removal_law["size"]
+    elif kind == "uniform-size-range":
+        low, high = removal_law["low"], removal_law["high"]
+    else:
+        low, high = (round(removal_law[key] * len(edges)) for key in ("low", "high"))
+    for attempts in range(1, max_attempts + 1):
+        size = low if kind == "uniform-size" else int(rng.integers(low, high + 1))
+        ids = sorted(rng.choice(len(edges), size=size, replace=False).tolist())
+        if verify_blocker(TorusGraph(n, d, frozenset(edges[i] for i in ids)), "odd-only")["blocked"]:
+            return attempts, ids
+    return None

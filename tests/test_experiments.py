@@ -41,6 +41,8 @@ from oddcycle.torus import (
     verify_blocker,
 )
 
+from oracles import torical_sample_reference
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -147,6 +149,11 @@ def test_sample_unknown_law():
         {"kind": "uniform-size"},
         {"kind": "uniform-size-range", "low": 1},
         {"kind": "uniform-edge-fraction", "high": 0.5},
+        {"kind": "uniform-size", "size": 7.9},
+        {"kind": "uniform-size", "size": True},
+        {"kind": "uniform-size-range", "low": 1, "high": "9"},
+        {"kind": "uniform-edge-fraction", "low": float("nan"), "high": 0.5},
+        {"kind": "uniform-edge-fraction", "low": 0.4, "high": float("inf")},
     ],
 )
 def test_sample_rejects_law_missing_kind_or_keys(law):
@@ -207,6 +214,106 @@ def test_sample_consecutive_draws_pinned():
         (3, 90, "3c12fb4857330164"),
         (11, 91, "5f30730e4c373f56"),
     ]
+
+
+def _draw_outcomes(draw, seed):
+    """(attempts and sorted edge ids, or None on a sampling abort; the
+    generator state after it) for three consecutive draws from one rng."""
+    rng = np.random.default_rng(seed)
+    outcomes = []
+    for _ in range(3):
+        try:
+            found = draw(rng)
+        except SamplingError:
+            found = None
+        outcomes.append((found, rng.bit_generator.state))
+    return outcomes
+
+
+def _assert_sampler_matches_reference(n, d, law, seed):
+    def sample(rng):
+        rec = sample_torical_graph(n, d, law, rng)
+        return rec["attempts"], sorted(edge_id(e, n) for e in rec["graph"].removed)
+
+    def reference(rng):
+        return torical_sample_reference(n, d, law, rng, experiments.MAX_SAMPLE_ATTEMPTS)
+
+    assert _draw_outcomes(sample, seed) == _draw_outcomes(reference, seed)
+
+
+def _spy_chunks(monkeypatch) -> list:
+    """The sizes that the chunked fixed-size path is called with."""
+    sizes = []
+    chunked = experiments._first_blocker_in_chunks
+
+    def spy(n, d, size, rng, attempts):
+        sizes.append(size)
+        return chunked(n, d, size, rng, attempts)
+
+    monkeypatch.setattr(experiments, "_first_blocker_in_chunks", spy)
+    return sizes
+
+
+# per (n, d): a size whose draws need more than the single attempts
+SAMPLER_MIDDLE_SIZE = {(3, 2): 7, (5, 2): 20, (9, 2): 70, (3, 3): 50}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n, d", list(SAMPLER_MIDDLE_SIZE))
+def test_fixed_size_draws_match_reference_loop(n, d, seed, monkeypatch):
+    sizes = _spy_chunks(monkeypatch)
+    for size in (SAMPLER_MIDDLE_SIZE[n, d], d * n**d):
+        _assert_sampler_matches_reference(n, d, {"kind": "uniform-size", "size": size}, seed)
+    assert sizes  # the middle size reached the chunks
+    # sizes that never block: every draw aborts, at a cap that is not a
+    # power of two, so the last chunk is cut short
+    monkeypatch.setattr(experiments, "MAX_SAMPLE_ATTEMPTS", 37)
+    for size in (0, 1):
+        _assert_sampler_matches_reference(n, d, {"kind": "uniform-size", "size": size}, seed)
+
+
+@pytest.mark.parametrize(
+    "law, chunked",
+    [
+        ({"kind": "uniform-size-range", "low": 7, "high": 7}, True),
+        ({"kind": "uniform-edge-fraction", "low": 0.39, "high": 0.39}, True),  # 7 of 18 edges
+        ({"kind": "uniform-size-range", "low": 6, "high": 8}, False),
+    ],
+)
+def test_range_laws_match_reference_loop(law, chunked, monkeypatch):
+    # a range law of one size draws no size and takes the chunks; a wider
+    # one draws attempt by attempt
+    sizes = _spy_chunks(monkeypatch)
+    _assert_sampler_matches_reference(3, 2, law, 0)
+    assert sizes == ([7] if chunked else [])
+
+
+@pytest.mark.parametrize("size, chunked", [(201, True), (202, False)])
+def test_sampler_numpy_regime_edge(size, chunked, monkeypatch):
+    # at N = 2 * 71^2 = 10,082 edges numpy's choice is Floyd's algorithm
+    # only up to N // 50 = 201 edges, and only then are attempts chunked;
+    # the cell bound is raised so that both sizes would fit
+    monkeypatch.setattr(experiments, "SAMPLE_CHUNK_CELLS", 1 << 21)
+    monkeypatch.setattr(experiments, "MAX_SAMPLE_ATTEMPTS", 11)
+    sizes = _spy_chunks(monkeypatch)
+    _assert_sampler_matches_reference(71, 2, {"kind": "uniform-size", "size": size}, 0)
+    assert sizes == ([size] * 3 if chunked else [])
+
+
+def test_sampler_runs_is_blocker_only_on_rows_touching_every_loop(monkeypatch):
+    # the chunks test the axis loops for all their rows at once, so few
+    # of the tiny law's attempts reach is_blocker
+    calls = []
+    honest = experiments.is_blocker
+
+    def counted(*args):
+        calls.append(args)
+        return honest(*args)
+
+    monkeypatch.setattr(experiments, "is_blocker", counted)
+    attempts = [a for a, _ in _seed0_draws(3, {"kind": "uniform-size", "size": 7})]
+    assert attempts == [5, 393, 1]
+    assert len(calls) < sum(attempts) / 3
 
 
 def test_sample_size_six_acceptance_matches_exhaustive_count():
@@ -406,6 +513,10 @@ def test_report_surface_fields():
         {"n_values": (3, 4)},
         {"n_values": (1,)},
         {"n_values": (3, 3)},
+        {"removal_law": {"kind": "uniform-size", "size": 7.9}},
+        {"removal_law": {"kind": "uniform-size", "size": True}},
+        {"removal_law": {"kind": "uniform-size-range", "low": 1, "high": "9"}},
+        {"removal_law": {"kind": "uniform-edge-fraction", "low": float("nan"), "high": 0.5}},
     ],
 )
 def test_experiment_config_rejects_bad_values(bad):

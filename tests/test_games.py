@@ -383,6 +383,17 @@ def test_search_matches_reference_loop_across_batches(name, cap, monkeypatch):
     assert _assert_search_matches_reference(SEARCH_GAMES[name], probe["evaluations"], None)["won"] == max(probe["history"])
 
 
+def test_targeted_search_matches_reference_over_growing_batches():
+    # a target the search never reaches, over a budget whose restarts span
+    # three of its growing batches (4, 8 and 16): the split must not show
+    game = SEARCH_GAMES["chsh-2"]
+    first = games.SEARCH_GOAL_FIRST_ROWS
+    iterations = 8 * first * 4 * len(game.alice_questions)
+    ref = _assert_search_matches_reference(game, iterations, 1.0)
+    assert ref["evaluations"] == iterations
+    assert len(ref["restarts"]) > 3 * first
+
+
 def test_best_response_disagreement_raises(monkeypatch):
     honest = games._best_response_bob
 
