@@ -36,8 +36,6 @@ from .games import (
 )
 from .quantum import (
     QuantumError,
-    bias_and_approximality,
-    canonical_odd_cycle_strategy,
     optimize_angles,  # unused here; perfbench/spans.py traces this binding
     quantum_advantage_report,
     win_probability,  # unused here; perfbench/spans.py traces this binding
@@ -75,18 +73,17 @@ USAGE_ERRORS = (GameError, TorusError, QuantumError, RegionError, ExperimentErro
 REFUSALS = (BudgetExceeded, SamplingError)
 
 
-def emit_report(result: dict, out_dir: Path, name: str, sweep_rows=()) -> list:
-    """Write the report and one sweep-n<k>.csv per n of the sweep rows;
-    returns the written paths.  CSV rows use the fixed sweep schema
+def emit_report(text: str, out_dir: Path, name: str, sweep_rows=()) -> list:
+    """Write the encoded report and one sweep-n<k>.csv per n of the sweep
+    rows; returns the written paths.  CSV rows use the fixed sweep schema
     theta,ratio,phat,halfwidth, with floats in the report's format."""
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file in the way, or no permission
         raise ValueError(f"--out {out_dir}: {exc.strerror or exc}") from None
-    paths = []
     report_path = out_dir / f"{name}.json"
-    report_path.write_text(dumps(result, indent=2) + "\n")
-    paths.append(report_path)
+    report_path.write_text(text)
+    paths = [report_path]
     by_n: dict = {}
     for row in sweep_rows:
         by_n.setdefault(row["n"], []).append(row)
@@ -158,6 +155,8 @@ def _cmd_value(args) -> dict:
     elif args.iterations is None:
         args.iterations = 100_000  # set on args so the manifest records it
     if args.game == "odd-cycle":
+        if args.delta is not None:
+            raise GameError("--delta applies only to --game chsh")
         game = make_odd_cycle_game(args.n, args.d)
     elif args.game == "chsh":
         delta = None
@@ -187,12 +186,7 @@ def _cmd_value(args) -> dict:
 
 
 def _cmd_qvalue(args) -> dict:
-    rep = quantum_advantage_report(args.n, theta=args.theta, oracle_seed=args.seed)
-    game = make_odd_cycle_game(args.n, 1)
-    qs = canonical_odd_cycle_strategy(args.n, args.theta)
-    bias = bias_and_approximality(game, qs, args.epsilon, reference=2 * rep["optimized_value"] - 1)
-    rep["bias"] = bias
-    rep["strategy"] = qs.to_json()
+    rep = quantum_advantage_report(args.n, theta=args.theta, oracle_seed=args.seed, epsilon=args.epsilon)
     rep["schema"] = "oddcycle.qvalue/1"
     return rep
 
@@ -219,6 +213,8 @@ def _cmd_repeat(args) -> dict:
 def _cmd_pearls(args) -> dict:
     import numpy as np
 
+    if args.graph is not None and not args.grow:
+        raise RegionError("--graph applies only to --grow")
     n, d = args.n, args.d
     game = make_odd_cycle_game(n, d)
     if args.strategy == "xmod2":
@@ -257,8 +253,7 @@ def _cmd_blocker(args) -> dict:
             }
     elif args.action in ("min", "min-heuristic"):
         method = "exact" if args.action == "min" else "heuristic"
-        base = TorusGraph(g.n, g.d)
-        res = min_blocker(base, args.mode, method=method, seed=args.seed)
+        res = min_blocker(g, args.mode, method=method, seed=args.seed)
         out["size"] = res["size"]
         out["edges"] = sorted([list(v), a] for v, a in res["edges"])
         out["method"] = res["method"]
@@ -459,10 +454,11 @@ def main(argv=None) -> int:
             {"command": args.command, "params": identity, "seed": args.seed, "version": __version__}
         )
         t1 = time.perf_counter()
-        outputs = emit_report(result, args.out, f"{args.command}-report", sweep_rows)
+        text = dumps(result, indent=2) + "\n"
+        outputs = emit_report(text, args.out, f"{args.command}-report", sweep_rows)
         timings["emit"] = time.perf_counter() - t1
         _write_manifest(args.out, args.command, params, args.seed, timings, outputs, result["manifest_id"])
-        sys.stdout.write(dumps(result, indent=2) + "\n")
+        sys.stdout.write(text)
         return 0
     except REFUSALS as exc:
         sys.stdout.write(dumps({"refusal": str(exc), "exit": 1}, indent=2) + "\n")

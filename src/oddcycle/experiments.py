@@ -41,7 +41,6 @@ from .torus import (
     BudgetExceeded,
     RegionSet,
     TorusGraph,
-    edge_id,
     giant_detect,
     is_blocker,
     make_section,
@@ -134,9 +133,6 @@ def classify_count_ratio(ratio: float, low: float, high: float) -> int:
 
 
 MAX_SAMPLE_ATTEMPTS = 100_000
-# a fixed-size law draws this many attempts one by one, then chunks of
-# attempts, each as large as the attempts so far and at least its size
-SAMPLE_SINGLE_ATTEMPTS = 8
 # bound on a chunk's rows x edges, which bounds each of its arrays; a law
 # is chunked only if size x edges fits, so that a chunk holds size rows
 SAMPLE_CHUNK_CELLS = 1 << 16
@@ -183,26 +179,26 @@ def sample_torical_graph(n: int, d: int, removal_law: dict, rng) -> dict:
       range law with bounds given as fractions of the edge count, so one
       law covers every n.
 
-    Each attempt draws ``rng.choice(N, size, replace=False)`` (N edges),
-    after ``rng.integers(a, b + 1)`` for the size when a < b.  A law whose
-    size is fixed (a == b, or ``uniform-size``) and whose size x N is at
-    most SAMPLE_CHUNK_CELLS draws SAMPLE_SINGLE_ATTEMPTS attempts so, then
-    draws in chunks (``_first_blocker_in_chunks``), unless
-    N > FLOYD_MAX_POPULATION and size > N // 50, where numpy's choice is
-    not Floyd's algorithm.  The other laws draw attempt by attempt
-    throughout.  Both give the stream, the attempts and the accepted graph
-    of the per-attempt loop.
+    The transverse law draws nothing.  Each attempt of the others draws
+    ``rng.integers(a, b + 1)`` for the size (which consumes nothing when
+    a == b) and then ``rng.choice(N, size, replace=False)`` (N edges).  A
+    law whose size is fixed (a == b) and whose size x N is at most
+    SAMPLE_CHUNK_CELLS draws in chunks from its first attempt
+    (``_first_blocker_in_chunks``), unless N > FLOYD_MAX_POPULATION and
+    size > N // 50, where numpy's choice is not Floyd's algorithm; the
+    other laws draw attempt by attempt.  Both give the stream, the
+    attempts and the accepted graph of the per-attempt loop.
 
     Returns the graph plus attempt statistics; aborts with diagnostics when
     the acceptance rate collapses.
     """
     TorusGraph(n, d)  # rejects a bad shape before any draw
     _check_removal_law(removal_law)
-    edges = torus_edges(n, d)
     kind = removal_law["kind"]
     if kind == "transverse":
-        low = high = 0
-    elif kind == "uniform-size":
+        return {"graph": TorusGraph(n, d, transverse_cut_blocker(n, d)), "attempts": 1, "accepted": True}
+    edges = torus_edges(n, d)
+    if kind == "uniform-size":
         low = high = int(removal_law["size"])
     elif kind == "uniform-size-range":
         low, high = int(removal_law["low"]), int(removal_law["high"])
@@ -214,16 +210,14 @@ def sample_torical_graph(n: int, d: int, removal_law: dict, rng) -> dict:
             f"removal size range [{low}, {high}] outside [0, {len(edges)}] edges"
         )
 
-    fixed = (
-        kind != "transverse"
-        and low == high
+    if (
+        low == high
         and low * len(edges) <= SAMPLE_CHUNK_CELLS
         and not (len(edges) > FLOYD_MAX_POPULATION and low > len(edges) // 50)
-    )
-    single = min(SAMPLE_SINGLE_ATTEMPTS, MAX_SAMPLE_ATTEMPTS) if fixed else MAX_SAMPLE_ATTEMPTS
-    found = _first_blocker_per_attempt(n, d, kind, low, high, rng, single)
-    if found is None and fixed:
-        found = _first_blocker_in_chunks(n, d, low, rng, single)
+    ):
+        found = _first_blocker_in_chunks(n, d, low, rng)
+    else:
+        found = _first_blocker_per_attempt(n, d, low, high, rng)
     if found is None:
         raise SamplingError(
             f"no torical sample accepted in {MAX_SAMPLE_ATTEMPTS} attempts "
@@ -234,26 +228,21 @@ def sample_torical_graph(n: int, d: int, removal_law: dict, rng) -> dict:
     return {"graph": g, "attempts": attempts, "accepted": True}
 
 
-def _first_blocker_per_attempt(n: int, d: int, kind: str, low: int, high: int, rng, limit: int) -> Optional[tuple]:
+def _first_blocker_per_attempt(n: int, d: int, low: int, high: int, rng) -> Optional[tuple]:
     """(attempts, edge ids) of the first blocking attempt, drawing its size
-    (unless ``uniform-size``) and then its edges, or None once ``limit``
-    attempts fail."""
+    and then its edges, or None once MAX_SAMPLE_ATTEMPTS attempts fail."""
     count = d * n ** d
-    for attempts in range(1, limit + 1):
-        if kind == "transverse":
-            ids = [edge_id(e, n) for e in transverse_cut_blocker(n, d)]
-        else:
-            size = low if kind == "uniform-size" else int(rng.integers(low, high + 1))
-            ids = rng.choice(count, size=size, replace=False).tolist()
+    for attempts in range(1, MAX_SAMPLE_ATTEMPTS + 1):
+        size = int(rng.integers(low, high + 1))
+        ids = rng.choice(count, size=size, replace=False).tolist()
         if is_blocker(n, d, ids, "odd-only"):
             return attempts, ids
     return None
 
 
-def _first_blocker_in_chunks(n: int, d: int, size: int, rng, attempts: int) -> Optional[tuple]:
-    """What ``_first_blocker_per_attempt`` returns for a fixed size after
-    ``attempts`` failed attempts, with the generator left in the same
-    state, or None at MAX_SAMPLE_ATTEMPTS.
+def _first_blocker_in_chunks(n: int, d: int, size: int, rng) -> Optional[tuple]:
+    """What ``_first_blocker_per_attempt`` returns for a fixed size, with
+    the generator left in the same state.
 
     ``rng.choice(N, size, replace=False)`` is Floyd's algorithm: for
     j = N - size ... N - 1 it draws an integer in [0, j] and takes j
@@ -270,6 +259,7 @@ def _first_blocker_in_chunks(n: int, d: int, size: int, rng, attempts: int) -> O
     count = d * n ** d
     highs = np.concatenate((np.arange(count - size, count), np.arange(size - 1, 0, -1))) + 1
     cap = max(1, SAMPLE_CHUNK_CELLS // count)
+    attempts = 0
     while attempts < MAX_SAMPLE_ATTEMPTS:
         rows = min(max(attempts, size, 1), cap, MAX_SAMPLE_ATTEMPTS - attempts)
         state = rng.bit_generator.state

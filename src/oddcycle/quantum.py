@@ -725,21 +725,20 @@ def bias_and_approximality(
     """Bias = 2*win_probability - 1 for +/-1-scored predicates, checked
     against the sandwich (1-eps)*beta(G) <= beta <= beta(G).  The reference
     beta(G) is supplied or computed by angle optimization."""
-    if not 0 < epsilon < 1:
-        raise QuantumError("epsilon must lie in (0, 1)")
     prob = win_probability(game, qs)
-    bias = 2.0 * prob - 1.0
     if reference is None:
         reference = 2.0 * optimize_angles(game, seed=seed)["value"] - 1.0
-    lower = (1.0 - epsilon) * reference
-    upper = reference
-    return {
-        "bias": bias,
-        "lower": lower,
-        "upper": upper,
-        "within": lower <= bias <= upper + 1e-12,
-        "reference": reference,
-    }
+    return _bias_record(prob, epsilon, reference)
+
+
+def _bias_record(prob: float, epsilon: float, reference: float) -> dict:
+    """The bias 2*prob - 1 against the sandwich with bounds
+    (1-eps)*reference and reference."""
+    if not 0 < epsilon < 1:
+        raise QuantumError("epsilon must lie in (0, 1)")
+    bias, lower = 2.0 * prob - 1.0, (1.0 - epsilon) * reference
+    within = lower <= bias <= reference + 1e-12
+    return {"bias": bias, "lower": lower, "upper": reference, "within": within, "reference": reference}
 
 
 def xor_error_functional(observables_a: list, observables_b: dict, psi: np.ndarray) -> float:
@@ -779,11 +778,12 @@ def xor_error_functional(observables_a: list, observables_b: dict, psi: np.ndarr
     return total
 
 
-def quantum_advantage_report(n: int, theta: float = 0.0, oracle_seed: int = 0) -> dict:
+def quantum_advantage_report(n: int, theta: float = 0.0, oracle_seed: int = 0, epsilon: float = 0.01) -> dict:
     """Canonical-strategy value vs the known classical value 1 - 1/(2n),
-    with the angle-optimization refinement.  Also reports the empirical
-    1 - value for scaling diagnostics; the square-vs-linear decay question
-    is surfaced, not adjudicated."""
+    with the angle-optimization refinement, the strategy, and its bias as
+    bias_and_approximality gives it for the reference 2*optimized - 1.
+    Also reports the empirical 1 - value for scaling diagnostics; the
+    square-vs-linear decay question is surfaced, not adjudicated."""
     game = make_odd_cycle_game(n, 1)
     qs = canonical_odd_cycle_strategy(n, theta)
     value = win_probability(game, qs)
@@ -799,6 +799,8 @@ def quantum_advantage_report(n: int, theta: float = 0.0, oracle_seed: int = 0) -
         "classical_value": classical,
         "margin": value - classical,
         "optimized_value": optimized["value"],
+        "bias": _bias_record(value, epsilon, 2 * optimized["value"] - 1),
+        "strategy": qs,
         "one_minus_value": 1.0 - value,
         "scaling_note": (
             "canonical gap scales like 1/n^2 empirically; the 1 - Theta(1/m) "

@@ -223,8 +223,12 @@ def blocker_integral_bound(steps: Sequence, n: int, epsilon: float) -> dict:
     curve integral; clamping to [0,1] is flagged."""
     if epsilon <= 0:
         raise RegionError("epsilon must be positive")
+    if n < 2:
+        raise RegionError("side length must be at least 2")
     if not steps:
         raise RegionError("empty curve")
+    if len({len(step) for step in steps}) > 1:
+        raise RegionError("steps of mixed dimensions")
     total = [0] * len(steps[0])
     diamond_sum = 0.0
     for step in steps:

@@ -126,6 +126,35 @@ def test_qvalue_report(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["canonical_value"] > data["classical_value"]
     assert data["bias"]["within"] is True
+    # the report bytes, pinned where the CLI still rebuilt the strategy
+    pins = {
+        "3": "d22ffb5423daf21e19d7c9ba13e42da4cf33fde5bc3c0a8909fad6c371e0df5c",
+        "7": "6f5277a9f37d77804bd1e5301e8c8643843a14fe886f04b1a7f82c2437284cf3",
+    }
+    for n, pin in pins.items():
+        assert main(["qvalue", "--n", n, "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == pin
+        assert hashlib.sha256((tmp_path / "qvalue-report.json").read_bytes()).hexdigest() == pin
+
+
+def test_qvalue_computes_the_canonical_value_once(tmp_path, capsys, monkeypatch):
+    from oddcycle import quantum
+
+    quantum.canonical_odd_cycle_strategy(5)  # warms the cached outcome maps
+    calls = []
+    honest = quantum.win_probability
+    monkeypatch.setattr(quantum, "win_probability", lambda *a: calls.append(a) or honest(*a))
+    assert main(["qvalue", "--n", "5", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
+def test_main_encodes_the_report_once(tmp_path, capsys, monkeypatch):
+    # one encode for the report file and stdout, one for the manifest
+    calls = []
+    monkeypatch.setattr(cli, "dumps", lambda *a, **k: calls.append(a) or dumps(*a, **k))
+    assert main(["norms", "--vector", "1,1", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 2
+    assert capsys.readouterr().out == (tmp_path / "norms-report.json").read_text()
 
 
 def test_search_report_bytes_and_step_count(tmp_path, capsys, monkeypatch):
@@ -156,6 +185,19 @@ def test_blocker_verify_and_min(tmp_path, capsys):
     )
     data = json.loads(capsys.readouterr().out)
     assert code == 0 and data["blocked"] is True
+
+
+@pytest.mark.parametrize(
+    "action, pin",
+    [
+        ("min", "2017ede8e4f4aa93064f14a7ff58738e4f631a077555abbfb5c8e192c8215dfb"),
+        ("min-heuristic", "ef66250e5aa1917fa866bfcf90261cb29565c4a487f71b1bfa1424af30e3a513"),
+    ],
+)
+def test_blocker_min_report_bytes_on_the_empty_graph(action, pin, tmp_path, capsys):
+    assert main(["blocker", "--n", "3", "--action", action, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256((tmp_path / "blocker-report.json").read_bytes()).hexdigest() == pin
 
 
 def test_blocker_graph_file_round_trip(tmp_path, capsys):
@@ -371,6 +413,17 @@ BAD_INPUTS = {
     "graph-without-n": ({"graph.json": '{"d": 2, "removed": []}'}, ["blocker", "--graph", "{tmp}/graph.json"]),
     "foam-samples-0": ({}, ["foam", "--samples", "0"]),
     "mc-samples-0": ({}, [*NORMS, "--monte-carlo", "--mc-samples", "0"]),
+    # a minimum blocker is searched on the empty torus only, not beside a removal
+    "min-blocker-transverse": ({}, ["blocker", "--n", "3", "--removed", "transverse", "--action", "min-heuristic"]),
+    "min-blocker-graph-removal": (
+        {"graph.json": '{"d": 2, "n": 3, "removed": [[[0, 0], 0]]}'},
+        ["blocker", "--graph", "{tmp}/graph.json", "--action", "min"],
+    ),
+    "curve-mixed-dimensions": ({}, ["norms", "--curve", "1;1,1"]),
+    "curve-n-0": ({}, ["norms", "--curve", "1,0;0,1;-1,0;0,-1", "--n", "0"]),
+    # flags the command would never read
+    "delta-on-odd-cycle": ({}, ["value", "--game", "odd-cycle", "--delta", "1,1,1,1"]),
+    "pearls-graph-without-grow": ({}, ["pearls", "--graph", "{tmp}/absent.json"]),
 }
 
 

@@ -125,9 +125,13 @@ def test_possibility_fixtures_cover_all_classes():
 
 def test_sample_transverse_always_accepted():
     rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
     rec = sample_torical_graph(3, 2, {"kind": "transverse"}, rng)
     assert rec["attempts"] == 1
     assert verify_blocker(rec["graph"], "odd-only")["blocked"]
+    # the law draws nothing
+    assert rng.bit_generator.state == state
+    assert rec["graph"].removed == transverse_cut_blocker(3, 2)
 
 
 def test_sample_size_zero_always_rejected():
@@ -246,15 +250,15 @@ def _spy_chunks(monkeypatch) -> list:
     sizes = []
     chunked = experiments._first_blocker_in_chunks
 
-    def spy(n, d, size, rng, attempts):
+    def spy(n, d, size, rng):
         sizes.append(size)
-        return chunked(n, d, size, rng, attempts)
+        return chunked(n, d, size, rng)
 
     monkeypatch.setattr(experiments, "_first_blocker_in_chunks", spy)
     return sizes
 
 
-# per (n, d): a size whose draws need more than the single attempts
+# per (n, d): a size whose draws need more than one chunk of attempts
 SAMPLER_MIDDLE_SIZE = {(3, 2): 7, (5, 2): 20, (9, 2): 70, (3, 3): 50}
 
 
@@ -285,7 +289,7 @@ def test_range_laws_match_reference_loop(law, chunked, monkeypatch):
     # one draws attempt by attempt
     sizes = _spy_chunks(monkeypatch)
     _assert_sampler_matches_reference(3, 2, law, 0)
-    assert sizes == ([7] if chunked else [])
+    assert sizes == ([7, 7, 7] if chunked else [])
 
 
 @pytest.mark.parametrize("size, chunked", [(201, True), (202, False)])

@@ -215,6 +215,11 @@ def test_integral_bound_open_curve_rejected():
         blocker_integral_bound([(2, 0)], 9, 0.01)
     with pytest.raises(RegionError):
         blocker_integral_bound([(1, 0)], 9, 0.0)
+    with pytest.raises(RegionError):
+        blocker_integral_bound([(1,), (1, 1)], 9, 0.01)
+    for n in (0, 1):
+        with pytest.raises(RegionError):
+            blocker_integral_bound([(1, 0), (0, 1), (-1, 0), (0, -1)], n, 0.01)
 
 
 def test_integral_bound_below_pearl_value():
