@@ -12,8 +12,9 @@ are beyond any exhaustive budget).  The reference is exact within the
 Alice-table budget, else the value of the closed-form wedge witness.
 
 Every sample draws its own generator from the master seed by a counter
-split, so a fixed config gives the same bytes on every rerun.  A batch's
-row count picks one of two angle ascents that differ in the last bits, so
+split, so a fixed config gives the same bytes on every rerun.  A sample's
+restriction is optimised in one batch with the others of its n, and numpy
+may round a contraction over one row differently from one over many, so
 with another sample count a sample's values agree only within 1e-12.
 """
 
@@ -36,7 +37,11 @@ from .games import (
     make_odd_cycle_game,
     wedge_witness,
 )
-from .quantum import canonical_odd_cycle_strategy, optimize_angles, optimize_restrictions
+from .quantum import (
+    canonical_odd_cycle_strategy,
+    optimize_angles,  # unused here; perfbench/spans.py traces this binding
+    optimize_restrictions,
+)
 from .torus import (
     BudgetExceeded,
     RegionSet,
@@ -297,30 +302,24 @@ def restricted_values(g: TorusGraph, base_n: int, d: int = 2, seed: int = 0, sta
     contraction = contraction_map(g)
     if contraction.image_count == 0:
         return {"degenerate": True, "contraction": contraction}
-    game, inits = _canonical_problem(base_n, d)
-    full_value = optimize_angles(game, seed=seed, starts=starts, sweeps=sweeps, inits=inits)["value"]
-    (restricted,) = _restricted_optima(base_n, d, [contraction], [seed], starts, sweeps)
+    full_value, restricted = _optima(base_n, d, [None, set(contraction.surviving)], [seed, seed], starts, sweeps)
     return {
         "degenerate": False,
-        "q_full": float(full_value),
+        "q_full": full_value,
         "q_restricted": restricted,
         "classical_ref": classical_reference(base_n, d)["value"],
         "contraction": contraction,
     }
 
 
-def _canonical_problem(n: int, d: int) -> tuple:
-    """The depth-d odd-cycle game and the canonical angle tables as the one
-    init of its optimisations."""
+def _optima(n: int, d: int, restrictions: list, seeds: list, starts: int, sweeps: int) -> list:
+    """Angle-optimised values of restrictions of the depth-d odd-cycle game
+    (None: the full game), restriction i seeded by seeds[i] and every one
+    started from the canonical angle tables, in one optimize_restrictions
+    call."""
     canonical = canonical_odd_cycle_strategy(n)
-    return make_odd_cycle_game(n, d), [(dict(canonical.alice_angles), dict(canonical.bob_angles))]
-
-
-def _restricted_optima(n: int, d: int, contractions: list, seeds: list, starts: int, sweeps: int) -> list:
-    """Angle-optimised values of the subgames surviving each contraction,
-    restriction i seeded by seeds[i], all in one optimize_restrictions call."""
-    game, inits = _canonical_problem(n, d)
-    restrictions = [set(c.surviving) for c in contractions]
+    inits = [(dict(canonical.alice_angles), dict(canonical.bob_angles))]
+    game = make_odd_cycle_game(n, d)
     results = optimize_restrictions(game, restrictions, seeds, starts=starts, sweeps=sweeps, inits=inits)
     return [float(r["value"]) for r in results]
 
@@ -474,6 +473,7 @@ class ExperimentConfig:
             )
         if self.d not in (1, 2):
             raise ExperimentError(f"d must be 1 or 2 (angle optimization supports depth <= 2), got {self.d}")
+        _check_foam_probes(2, self.foam_d, self.foam_samples)
 
     def to_json(self) -> dict:
         data = asdict(self)
@@ -518,12 +518,11 @@ def _draw_sample(config: ExperimentConfig, n: int, index: int) -> dict:
     return drawn
 
 
-def _finish_sample(config: ExperimentConfig, drawn: dict, q_r: float, cache: dict) -> dict:
+def _finish_sample(config: ExperimentConfig, drawn: dict, q_r: float, q_f: float, cref: float) -> dict:
     """The ratios, events and prefactors of a non-degenerate sample whose
-    restricted value is q_r."""
+    restricted value is q_r, against the full value q_f and the classical
+    reference cref."""
     record, g, contraction = drawn["record"], drawn["graph"], drawn["contraction"]
-    q_f = cache["q_full"]
-    cref = float(cache["classical_ref"])
     ratios = ratio_variants(q_r, q_f, cref)
     record["q_full"] = q_f
     record["q_restricted"] = q_r
@@ -599,25 +598,26 @@ def estimate_events(config: ExperimentConfig) -> ExperimentReport:
     frequencies, prefactors, and the foam-event probability.  Bitwise
     reproducible for a fixed config.
 
-    Per n, every sample is drawn first, then the restricted optimisations
-    of the non-degenerate ones run as one batch, then each sample's ratios
-    and events are computed."""
+    Per n, every sample is drawn first, then the full game (seeded by the
+    config's seed) and the restrictions of the non-degenerate samples are
+    optimised as one batch, then each sample's ratios and events are
+    computed."""
     per_n = {}
     all_samples = []
     for n in config.n_values:
-        game_cache = _per_n_cache(config, n)
+        ref = classical_reference(n, config.d)
         drawn = [_draw_sample(config, n, i) for i in range(config.samples)]
         live = [s for s in drawn if not s["record"]["degenerate"]]
-        optima = _restricted_optima(
+        q_full, *optima = _optima(
             n,
             config.d,
-            [s["contraction"] for s in live],
-            [s["seed"] for s in live],
+            [None] + [set(s["contraction"].surviving) for s in live],
+            [config.seed] + [s["seed"] for s in live],
             config.opt_starts,
             config.opt_sweeps,
         )
         for s, q_r in zip(live, optima):
-            _finish_sample(config, s, q_r, game_cache)
+            _finish_sample(config, s, q_r, q_full, float(ref["value"]))
         records = [s["record"] for s in drawn]
         used = [r for r in records if not r["degenerate"]]
         excluded = [r for r in records if r["degenerate"]]
@@ -631,11 +631,11 @@ def estimate_events(config: ExperimentConfig) -> ExperimentReport:
             "samples": config.samples,
             "used": count,
             "excluded": len(excluded),
-            "classical_ref": str(game_cache["classical_ref"]),
-            "classical_ref_float": float(game_cache["classical_ref"]),
-            "classical_ref_method": game_cache["classical_method"],
-            "classical_ref_exact": game_cache["classical_exact"],
-            "q_full": game_cache["q_full"],
+            "classical_ref": str(ref["value"]),
+            "classical_ref_float": float(ref["value"]),
+            "classical_ref_method": ref["method"],
+            "classical_ref_exact": ref["exact"],
+            "q_full": q_full,
             "acceptance_rate": count / max(1, sum(r["attempts"] for r in records)),
             "theta_grid": list(config.theta_grid),
         }
@@ -687,20 +687,6 @@ def estimate_events(config: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(config, per_n, all_samples, foam)
 
 
-def _per_n_cache(config: ExperimentConfig, n: int) -> dict:
-    game, inits = _canonical_problem(n, config.d)
-    q_full = optimize_angles(
-        game, seed=config.seed, starts=config.opt_starts, sweeps=config.opt_sweeps, inits=inits
-    )["value"]
-    ref = classical_reference(n, config.d)
-    return {
-        "q_full": float(q_full),
-        "classical_ref": ref["value"],
-        "classical_method": ref["method"],
-        "classical_exact": ref["exact"],
-    }
-
-
 # -- foam probes ----------------------------------------------------------------
 
 
@@ -738,6 +724,15 @@ def minimizing_pair_indicators(per_pair: dict) -> dict:
     }
 
 
+def _check_foam_probes(n: int, d: int, samples: int):
+    if n != 2:
+        raise ExperimentError("foam probes are stated for n = 2")
+    if d not in (2, 3):
+        raise ExperimentError(f"foam probes are stated for d in {{2, 3}}, got {d}")
+    if samples < 1:
+        raise ExperimentError(f"foam probes need at least one sample, got {samples}")
+
+
 def foam_probes(
     n: int = 2,
     d: int = 2,
@@ -752,12 +747,7 @@ def foam_probes(
     blocker coincide with its cardinality for unit edge steps; the channel
     variant draws a random unit matrix per basis pair and takes the trace
     norm under the identity channel."""
-    if n != 2:
-        raise ExperimentError("foam probes are stated for n = 2")
-    if d not in (2, 3):
-        raise ExperimentError("foam probes are stated for d in {2, 3}")
-    if samples < 1:
-        raise ExperimentError("foam probes need at least one sample")
+    _check_foam_probes(n, d, samples)
     rng = np.random.default_rng(seed)
     blocker = min_blocker(TorusGraph(n, d))
     surface_inf = blocker["size"]

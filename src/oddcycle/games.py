@@ -661,7 +661,10 @@ def classical_value_search(
 def repetition_decay_check(n: int, d: int, value: float) -> dict:
     """Diagnostic record comparing 1 - value against sqrt(d)/(n sqrt(log d)).
     The constant in the decay statement is unknown, so nothing is asserted;
-    d = 1 sits on the regime boundary (log d = 0)."""
+    d = 1 sits on the regime boundary (log d = 0).  The value must be a
+    finite probability."""
+    if not 0.0 <= value <= 1.0:  # also false for NaN
+        raise GameError(f"value must be a probability in [0, 1], got {value}")
     record = {
         "n": n,
         "d": d,

@@ -167,10 +167,9 @@ def diamond_norm(
     Exact mode averages all 2^d sign vectors (d <= 24, via half-splitting);
     monte-carlo mode returns a seeded estimate with its standard error.
     """
-    if isinstance(vector, DiamondVector):
-        entries = np.array(vector.entries, dtype=float)
-    else:
-        entries = np.array([float(e) for e in vector], dtype=float)
+    if not isinstance(vector, DiamondVector):
+        vector = DiamondVector(vector)  # the one finiteness rule
+    entries = np.array(vector.entries, dtype=float)
     d = entries.size
     if d == 0:
         raise RegionError("empty vector")

@@ -424,6 +424,13 @@ BAD_INPUTS = {
     # flags the command would never read
     "delta-on-odd-cycle": ({}, ["value", "--game", "odd-cycle", "--delta", "1,1,1,1"]),
     "pearls-graph-without-grow": ({}, ["pearls", "--graph", "{tmp}/absent.json"]),
+    # values that are no probability or not finite, rather than NaN (not JSON) in a report
+    "repeat-value-nan": ({}, ["repeat", "--n", "3", "--d", "2", "--value", "nan"]),
+    "repeat-value-inf": ({}, ["repeat", "--n", "3", "--d", "2", "--value", "inf"]),
+    "repeat-value-above-1": ({}, ["repeat", "--n", "3", "--d", "2", "--value", "1.5"]),
+    "repeat-value-negative": ({}, ["repeat", "--n", "3", "--d", "2", "--value=-0.25"]),
+    "norms-vector-nan": ({}, ["norms", "--vector", "1,nan"]),
+    "norms-vector-inf": ({}, ["norms", "--vector", "inf"]),
 }
 
 

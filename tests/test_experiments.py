@@ -521,6 +521,10 @@ def test_report_surface_fields():
         {"removal_law": {"kind": "uniform-size", "size": True}},
         {"removal_law": {"kind": "uniform-size-range", "low": 1, "high": "9"}},
         {"removal_law": {"kind": "uniform-edge-fraction", "low": float("nan"), "high": 0.5}},
+        # at construction, not after every n has been sampled and optimised
+        {"foam_d": 1},
+        {"foam_d": 4},
+        {"foam_samples": 0},
     ],
 )
 def test_experiment_config_rejects_bad_values(bad):
@@ -561,6 +565,18 @@ def test_foam_probes_rejects_bad_quantifiers():
         foam_probes(n=3, d=2)
     with pytest.raises(ExperimentError):
         foam_probes(n=2, d=4)
+
+
+@pytest.mark.parametrize("seed", [42, 3])
+def test_q_full_does_not_depend_on_the_sample_count(seed):
+    q_full = [
+        [rep.per_n[n]["q_full"] for n in ("3", "5")]
+        for rep in (
+            estimate_events(ExperimentConfig(n_values=(3, 5), samples=samples, seed=seed, foam_samples=1))
+            for samples in (1, 5, 60)
+        )
+    ]
+    assert q_full[0] == q_full[1] == q_full[2]
 
 
 def test_minimizing_pair_indicators_fixture():

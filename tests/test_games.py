@@ -514,6 +514,12 @@ def test_decay_check_examples():
     assert abs(rec5["gap"] - 0.15) < 1e-12
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.25, 1.5])
+def test_decay_check_rejects_a_value_that_is_no_probability(value):
+    with pytest.raises(GameError, match="probability"):
+        repetition_decay_check(3, 2, value)
+
+
 def test_game_serialization_round_trip():
     g = make_odd_cycle_game(3, 2)
     data = g.to_json()

@@ -15,11 +15,11 @@ from oddcycle.quantum import (
     QubitStrategy,
     _AngleForms,
     _ascend,
-    _ascend_scalar,
+    _cis,
     _derivatives,
     _forms,
     _maximize_profile,
-    _profile,
+    _profiles,
     _solve_negative_definite,
     bell_phase_state,
     bias_and_approximality,
@@ -312,7 +312,7 @@ def _surviving_pairs(game, rng):
 def test_angle_objective_and_profile_match_oracle(game, restricted):
     rng = np.random.default_rng(17)
     keep = _surviving_pairs(game, rng) if restricted else None
-    # column 0 feeds the scalar ascent; column 1, the full game, is another batch column
+    # column 1, the full game, is another batch column
     forms = _AngleForms(game, [keep, None])
 
     def oracle(angles, pairs=keep):
@@ -320,28 +320,33 @@ def test_angle_objective_and_profile_match_oracle(game, restricted):
 
     for _ in range(4):
         angles = [rng.uniform(0, 2 * math.pi, len(ks)).tolist() for ks in forms.keys]
-        phase = [[cmath.exp(1j * a) for a in side] for side in angles]
         alpha, beta = (np.array(a)[end] for a, end in zip(angles, forms.ends))
         r = np.cos(alpha + beta).tolist() + [1.0]
         value = _forms(forms.A, np.array([r, r]).T)
         assert abs(value[0] - oracle(angles)) < 1e-12
         assert abs(value[1] - oracle(angles, None)) < 1e-12
-    # in every angle the restriction asks, g(a) - g(a') from the kernel's
-    # (z1, z2) is the objective difference
-    tables = forms.scalar_tables(0)
-    kept = [(qa, qb) for qa, qb, _ in game.pairs if keep is None or (qa, qb) in keep]
-    asked = [(side, x) for side, qs in enumerate(zip(*kept)) for x in sorted({x for q in qs for x in q})]
-    assert [(side, forms.keys[side][k]) for side, k, *_ in tables] == asked
-    for side, k, _, terms in tables:
-        z1, z2, _ = _profile(phase[1 - side], r, *terms)
-        a, a2 = rng.uniform(0, 2 * math.pi, 2)
-        moved = [list(angles[0]), list(angles[1])]
-        values = []
-        for x in (a, a2):
-            moved[side][k] = x
-            values.append(oracle(moved))
-        g = [(z1 * cmath.exp(1j * x) + z2 * cmath.exp(2j * x)).real for x in (a, a2)]
-        assert abs((g[0] - g[1]) - (values[0] - values[1])) < 1e-12
+    # in every angle a column's restriction asks, g(a) - g(a') from the
+    # block (z1, z2) that _ascend maximises is the objective difference
+    phase = [_cis(np.array([side, side]).T) for side in angles]
+    r1 = np.array([r, r]).T
+    asked = [[], []]
+    for block in forms.blocks:
+        (side, keys, *_), (*_, on) = block
+        z1, z2, _ = _profiles(block, phase, r1)
+        for t, column in zip(*np.nonzero(on)):
+            k, pairs = keys.start + t, (keep, None)[column]
+            asked[column].append((side, forms.keys[side][k]))
+            a, a2 = rng.uniform(0, 2 * math.pi, 2)
+            moved = [list(angles[0]), list(angles[1])]
+            values = []
+            for x in (a, a2):
+                moved[side][k] = x
+                values.append(oracle(moved, pairs))
+            g = [(z1[t, column] * cmath.exp(1j * x) + z2[t, column] * cmath.exp(2j * x)).real for x in (a, a2)]
+            assert abs((g[0] - g[1]) - (values[0] - values[1])) < 1e-12
+    for pairs, got in zip((keep, None), asked):
+        kept = [(qa, qb) for qa, qb, _ in game.pairs if pairs is None or (qa, qb) in pairs]
+        assert sorted(got) == [(side, x) for side, qs in enumerate(zip(*kept)) for x in sorted({x for q in qs for x in q})]
 
 
 FINE_GRID = np.linspace(0.0, 2 * math.pi, 65536, endpoint=False)
@@ -399,24 +404,20 @@ def _restrictions(n, depth=2):
 # after 3 sweeps the starts still differ, so every row's own path shows
 @pytest.mark.parametrize("sweeps", [3, 200])
 def test_batched_restrictions_match_scalar_kernel(n, starts, sweeps):
-    # at depth 1 a sweep is two block steps, at depth 2 one step per key
+    # at depth 1 a sweep is two block steps, at depth 2 one step per key;
+    # each row is checked against the scalar oracle objective
     for depth in (1, 2):
-        _check_batched_matches_scalar(n, starts, sweeps, depth)
+        _check_batched_rows(n, starts, sweeps, depth)
 
 
-def _check_batched_matches_scalar(n, starts, sweeps, depth):
+def _check_batched_rows(n, starts, sweeps, depth):
     game, cases = _restrictions(n, depth)
     canonical = canonical_odd_cycle_strategy(n)
     inits = [(dict(canonical.alice_angles), dict(canonical.bob_angles))]
     seeds = [101 + i for i in range(len(cases))]
     forms = _AngleForms(game, cases)
     rows = np.repeat(np.arange(len(cases)), starts)
-    start = forms.starts(seeds, starts, inits)
-    batched, scalar = (ascend(forms, rows, start, sweeps, 1e-12) for ascend in (_ascend, _ascend_scalar))
-    # the same updates, with sums in another order: row by row equal up to rounding
-    assert np.abs(batched[0] - scalar[0]).max() < 1e-12
-    for got, want in zip(batched[1], scalar[1]):
-        assert np.abs(np.exp(1j * got) - np.exp(1j * want)).max() < 1e-9
+    batched = _ascend(forms, rows, forms.starts(seeds, starts, inits), sweeps, 1e-12)
     for row, i in enumerate(rows.tolist()):
         keep, strategy = cases[i], forms.strategy(i, [side[:, row] for side in batched[1]])
         # the strategy tabulates exactly the coordinates that the kept pairs ask
@@ -463,45 +464,23 @@ def test_depth_one_sweep_maximizes_once_per_block(monkeypatch):
     assert calls == [15 * 8] * (2 * sweeps)
 
 
-def test_depth_one_routes_by_work_per_sweep(monkeypatch):
-    # 8 rows: n = 3 stays below BATCH_MIN_ROWS x 2 blocks = 64 row-keys, n = 5 does not
-    calls = []
-    for name in ("_ascend", "_ascend_scalar"):
-        real = getattr(quantum, name)
-        monkeypatch.setattr(quantum, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
-    for n, want in ((3, "_ascend_scalar"), (5, "_ascend")):
-        calls.clear()
-        optimize_angles(make_odd_cycle_game(n, 1), starts=8)
-        assert calls[0] == want
-
-
 def test_ascents_leave_their_starts_unchanged():
     game, cases = _restrictions(3)
     forms = _AngleForms(game, cases)
     rows = np.repeat(np.arange(len(cases)), 4)
     start = forms.starts(list(range(len(cases))), 4, None)
     kept = [a.copy() for a in start]
-    for ascend in (_ascend, _ascend_scalar):
-        ascend(forms, rows, start, 3, 1e-12)
-        assert all((a == b).all() for a, b in zip(start, kept))
+    _ascend(forms, rows, start, 3, 1e-12)
+    assert all((a == b).all() for a, b in zip(start, kept))
 
 
-def test_optimize_restrictions_routes_by_row_count(monkeypatch):
+def test_optimize_restrictions_routes_by_row_count():
+    # a batch of many restrictions and one of two agree on the shared ones
     game, cases = _restrictions(3)
     seeds = list(range(len(cases)))
-    assert 2 * 4 < quantum.BATCH_MIN_ROWS <= len(cases) * 4
-    calls = []
-    for name in ("_ascend", "_ascend_scalar"):
-        real = getattr(quantum, name)
-        monkeypatch.setattr(quantum, name, lambda *a, real=real, name=name: calls.append((name, len(a[1]))) or real(*a))
     batched = optimize_restrictions(game, cases, seeds, starts=4)
-    assert calls[0] == ("_ascend", len(cases) * 4)
-    calls.clear()
-    scalar = optimize_restrictions(game, cases[:2], seeds[:2], starts=4)
-    assert calls[0] == ("_ascend_scalar", 2 * 4)
-    # every later round of unsettled rows is routed by its own row count
-    assert all((name == "_ascend") == (count >= quantum.BATCH_MIN_ROWS) for name, count in calls)
-    for got, want in zip(batched, scalar):
+    few = optimize_restrictions(game, cases[:2], seeds[:2], starts=4)
+    for got, want in zip(batched, few):
         assert abs(got["value"] - want["value"]) < 1e-12
     with pytest.raises(QuantumError):
         optimize_restrictions(game, cases, seeds[1:])
@@ -518,13 +497,64 @@ def test_first_best_start_wins(monkeypatch):
     tables = (canonical.alice_angles, canonical.bob_angles)
     plus, minus = tables, tuple({q: -a for q, a in t.items()} for t in tables)
     zero = tuple(dict.fromkeys(t, 0.0) for t in tables)
-    monkeypatch.setattr(quantum, "_ascend_scalar", lambda forms, rows, angles, *a: (None, angles))
+    monkeypatch.setattr(quantum, "_ascend", lambda forms, rows, angles, *a: (None, angles))
     picked = optimize_restrictions(game, [None, None], [5, 6], starts=4, inits=[zero, zero, minus, plus])
     flipped = optimize_restrictions(game, [None], [5], starts=4, inits=[zero, plus, minus, zero])[0]
     low = win_probability(game, QubitStrategy(bell_phase_state(), *zero))
     assert picked[0]["value"] == picked[1]["value"] == flipped["value"] > low
     for got, want in ((picked[0], minus), (picked[1], minus), (flipped, plus)):
         assert max(abs(got["strategy"].alice_angles[q] - a) for q, a in want[0].items()) < 1e-6
+
+
+def test_no_start_is_rejected():
+    game = make_odd_cycle_game(3, 1)
+    for starts in (0, -1):
+        with pytest.raises(QuantumError, match="starts must be at least 1"):
+            optimize_angles(game, starts=starts)
+    # an init is a start
+    canonical = canonical_odd_cycle_strategy(3)
+    inits = [(dict(canonical.alice_angles), dict(canonical.bob_angles))]
+    assert optimize_angles(game, starts=0, inits=inits)["starts"] == 1
+
+
+def test_bench_config_runs_one_round_per_n(monkeypatch):
+    # the estimator's batches on the seed-42 bench job: n = 3, 5 with 60 samples
+    calls = []
+    ascend, polish = quantum._ascend, quantum._polish
+
+    def polished(*args):
+        out = polish(*args)
+        calls.append(("_polish", int((~out[2]).sum())))
+        return out
+
+    monkeypatch.setattr(quantum, "_ascend", lambda *args: calls.append(("_ascend",)) or ascend(*args))
+    monkeypatch.setattr(quantum, "_polish", polished)
+    experiments.estimate_events(ExperimentConfig(n_values=(3, 5), samples=60, seed=42, foam_samples=1))
+    assert [call[0] for call in calls] == ["_ascend", "_polish"] * 2
+    assert calls[1] == ("_polish", 0)  # n = 3 leaves no row unsettled
+
+
+@pytest.mark.parametrize("shift, rounds", [(-1.0, 1), (1.0, 2)], ids=["below-best", "best"])
+def test_only_a_restrictions_best_start_runs_again(monkeypatch, shift, rounds):
+    # the first polish reports every row settled but start 0 of restriction
+    # 0, moved below (or above) the restriction's other starts, all in
+    # [0, 1]: only a start that holds the best value runs another round
+    game, cases = _restrictions(3)
+    polish, calls = quantum._polish, []
+
+    def one_unsettled(forms, rows, angles):
+        values, angles, settled = polish(forms, rows, angles)
+        settled[:] = True
+        if len(calls) == 1:
+            values[0] += shift
+            settled[0] = False
+        return values, angles, settled
+
+    real = quantum._ascend
+    monkeypatch.setattr(quantum, "_ascend", lambda *args: calls.append(len(args[1])) or real(*args))
+    monkeypatch.setattr(quantum, "_polish", one_unsettled)
+    optimize_restrictions(game, cases[:3], [0, 1, 2], starts=4)
+    assert calls == [12, 1][:rounds]
 
 
 @pytest.mark.parametrize("depth", [1, 2])
@@ -625,8 +655,8 @@ def test_polished_rows_do_not_see_the_other_restrictions(n):
     for got, want in zip(backward, forward):
         assert got["value"] == want["value"]
         assert got["strategy"].to_json() == want["strategy"].to_json()
-    # alone, each restriction's 4 rows take the scalar ascent; together,
-    # the batch: the polish ends both on the same maximum
+    # alone, each restriction's 4 rows are a batch of their own: the
+    # polish ends both on the same maximum
     for i, (keep, seed) in enumerate(zip(cases, seeds)):
         alone = optimize_restrictions(game, [keep], [seed], starts=4)[0]
         assert abs(alone["value"] - forward[i]["value"]) < 1e-12
@@ -636,11 +666,10 @@ def test_polished_rows_do_not_see_the_other_restrictions(n):
 def test_no_row_runs_more_than_sweeps_coordinate_sweeps(monkeypatch, sweeps):
     game, cases = _restrictions(5)
     budgets = []
-    for name in ("_ascend", "_ascend_scalar"):
-        real = getattr(quantum, name)
-        monkeypatch.setattr(quantum, name, lambda f, r, a, s, t, real=real: budgets.append(s) or real(f, r, a, s, t))
+    real = quantum._ascend
+    monkeypatch.setattr(quantum, "_ascend", lambda f, r, a, s, t: budgets.append(s) or real(f, r, a, s, t))
     optimize_restrictions(game, cases, list(range(len(cases))), starts=4, sweeps=sweeps)
-    # each call of an ascent caps the sweeps of every row it is given
+    # each call of the ascent caps the sweeps of every row it is given
     assert budgets[0] == min(sweeps, quantum.POLISH_AFTER) and sum(budgets) <= sweeps
 
 

@@ -172,6 +172,14 @@ def test_diamond_caps_and_errors():
         DiamondVector((float("nan"),))
 
 
+@pytest.mark.parametrize("method", ["exact-enumeration", "monte-carlo"])
+def test_diamond_norm_rejects_non_finite_entries_of_a_plain_list(method):
+    # the DiamondVector rule, also where no DiamondVector is passed
+    for bad in ([1, float("nan")], [float("inf")]):
+        with pytest.raises(RegionError, match="finite"):
+            diamond_norm(bad, method=method)
+
+
 def test_diamond_monte_carlo_converges():
     rng = np.random.default_rng(0)
     hits = 0
