@@ -192,13 +192,13 @@ def _cmd_qvalue(args) -> dict:
 
 
 def _cmd_repeat(args) -> dict:
-    make_odd_cycle_game(args.n, args.d)  # rejects a bad n or d also when --value is given
+    game = make_odd_cycle_game(args.n, args.d)  # rejects a bad n or d also when --value is given
     # the single round first: where it is over budget, no depth-d search runs
     single = classical_value_exact(make_odd_cycle_game(args.n, 1)).exact
     if args.value is not None:
         value, source = args.value, "supplied"
     else:
-        ref = classical_reference(args.n, args.d, seed=args.seed, iterations=args.iterations)
+        ref = classical_reference(game, seed=args.seed, iterations=args.iterations)
         value = float(ref["value"])
         source = "exact" if ref["exact"] else "search-lower-bound"
         if ref["method"] == "wedge-witness":

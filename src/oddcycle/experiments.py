@@ -6,9 +6,10 @@ referee draws a vertex of T_n^2 and an offset t in {0,1}^2 per coordinate,
 which is exactly the depth-2 tensor game.  A removed edge set kills the
 question pairs whose elementary axis path (axis 0 before axis 1) crosses a
 removed edge; restricted values are heuristic angle-optimization suprema
-over the surviving pairs.  "One round of ordinary parallel repetition"
-squares the base values and the classical reference (exact repeated values
-are beyond any exhaustive budget).  The reference is exact within the
+over the surviving pairs.  A pair with t = 0 has an empty path, so every
+removal keeps at least n^d pairs and every sample is used.  "One round of
+ordinary parallel repetition" squares the base values and the classical
+reference (exact repeated values are beyond any exhaustive budget).  The reference is exact within the
 Alice-table budget, else the value of the closed-form wedge witness.
 
 Every sample draws its own generator from the master seed by a counter
@@ -31,6 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .games import (
+    GameSpec,
     classical_value_exact,
     classical_value_search,
     evaluate_strategy,
@@ -98,8 +100,6 @@ class ContractionMap:
 
     @property
     def count_ratio(self) -> Fraction:
-        if self.image_count == 0:
-            raise ExperimentError("empty image: degenerate contraction")
         return Fraction(self.preimage_count, self.image_count)
 
 
@@ -116,8 +116,12 @@ def _elementary_paths(n: int, d: int) -> tuple:
 
 
 def contraction_map(g: TorusGraph) -> ContractionMap:
+    """The pairs whose elementary paths avoid the removals; the n^d pairs
+    with t = 0 have empty paths, so fewer survivors mean a broken table."""
     paths = _elementary_paths(g.n, g.d)
     surviving = tuple(pair for edges, pair in paths if g.removed.isdisjoint(edges))
+    if len(surviving) < g.n ** g.d:
+        raise ExperimentError(f"{len(surviving)} surviving pairs, fewer than the {g.n ** g.d} with t = 0")
     return ContractionMap(g, surviving, len(paths))
 
 
@@ -201,7 +205,7 @@ def sample_torical_graph(n: int, d: int, removal_law: dict, rng) -> dict:
     _check_removal_law(removal_law)
     kind = removal_law["kind"]
     if kind == "transverse":
-        return {"graph": TorusGraph(n, d, transverse_cut_blocker(n, d)), "attempts": 1, "accepted": True}
+        return {"graph": TorusGraph(n, d, transverse_cut_blocker(n, d)), "attempts": 1}
     edges = torus_edges(n, d)
     if kind == "uniform-size":
         low = high = int(removal_law["size"])
@@ -230,7 +234,7 @@ def sample_torical_graph(n: int, d: int, removal_law: dict, rng) -> dict:
         )
     attempts, ids = found
     g = TorusGraph(n, d, frozenset(edges[i] for i in ids))
-    return {"graph": g, "attempts": attempts, "accepted": True}
+    return {"graph": g, "attempts": attempts}
 
 
 def _first_blocker_per_attempt(n: int, d: int, low: int, high: int, rng) -> Optional[tuple]:
@@ -300,44 +304,39 @@ def restricted_values(g: TorusGraph, base_n: int, d: int = 2, seed: int = 0, sta
     if g.n != base_n or g.d != d:
         raise ExperimentError("graph shape does not match the requested game")
     contraction = contraction_map(g)
-    if contraction.image_count == 0:
-        return {"degenerate": True, "contraction": contraction}
-    full_value, restricted = _optima(base_n, d, [None, set(contraction.surviving)], [seed, seed], starts, sweeps)
+    game = make_odd_cycle_game(base_n, d)
+    full_value, restricted = _optima(game, [None, set(contraction.surviving)], [seed, seed], starts, sweeps)
     return {
-        "degenerate": False,
         "q_full": full_value,
         "q_restricted": restricted,
-        "classical_ref": classical_reference(base_n, d)["value"],
+        "classical_ref": classical_reference(game)["value"],
         "contraction": contraction,
     }
 
 
-def _optima(n: int, d: int, restrictions: list, seeds: list, starts: int, sweeps: int) -> list:
-    """Angle-optimised values of restrictions of the depth-d odd-cycle game
-    (None: the full game), restriction i seeded by seeds[i] and every one
-    started from the canonical angle tables, in one optimize_restrictions
-    call."""
-    canonical = canonical_odd_cycle_strategy(n)
+def _optima(game: GameSpec, restrictions: list, seeds: list, starts: int, sweeps: int) -> list:
+    """Angle-optimised values of restrictions of an odd-cycle game (None:
+    the full game), restriction i seeded by seeds[i] and every one started
+    from the canonical angle tables, in one optimize_restrictions call."""
+    canonical = canonical_odd_cycle_strategy(game.n)
     inits = [(dict(canonical.alice_angles), dict(canonical.bob_angles))]
-    game = make_odd_cycle_game(n, d)
     results = optimize_restrictions(game, restrictions, seeds, starts=starts, sweeps=sweeps, inits=inits)
     return [float(r["value"]) for r in results]
 
 
-def classical_reference(n: int, d: int, seed: int = 0, iterations: int = 60_000) -> dict:
-    """Classical value of the depth-d game: exact when the Alice-table
-    budget allows, else a labeled lower bound, the exact value of the wedge
-    witness.  Only at d >= 3, where the seeded local search (``seed``,
-    ``iterations``) was measured above the witness, is the bound the
-    larger of the two; the estimator's d <= 2 never runs the search."""
-    game = make_odd_cycle_game(n, d)
+def classical_reference(game: GameSpec, seed: int = 0, iterations: int = 60_000) -> dict:
+    """Classical value of a depth-d odd-cycle game: exact when the
+    Alice-table budget allows, else a labeled lower bound, the exact value
+    of the wedge witness.  Only at d >= 3, where the seeded local search
+    (``seed``, ``iterations``) was measured above the witness, is the bound
+    the larger of the two; the estimator's d <= 2 never runs the search."""
     try:
         report = classical_value_exact(game)
         return {"value": report.exact, "method": report.method, "exact": True}
     except BudgetExceeded:
         pass
-    witness = evaluate_strategy(game, wedge_witness(n, d))
-    if d >= 3:
+    witness = evaluate_strategy(game, wedge_witness(game))
+    if game.depth >= 3:
         report = classical_value_search(game, seed=seed, iterations=iterations)
         if report.exact > witness:
             return {"value": report.exact, "method": report.method, "exact": False}
@@ -473,7 +472,10 @@ class ExperimentConfig:
             )
         if self.d not in (1, 2):
             raise ExperimentError(f"d must be 1 or 2 (angle optimization supports depth <= 2), got {self.d}")
-        _check_foam_probes(2, self.foam_d, self.foam_samples)
+        _check_finite_positive("m", self.m)
+        if not self.ratio_low <= self.ratio_high:
+            raise ExperimentError(f"ratio_low {self.ratio_low} must not exceed ratio_high {self.ratio_high}")
+        _check_foam_probes(2, self.foam_d, self.foam_samples, self.lesssim_c)
 
     def to_json(self) -> dict:
         data = asdict(self)
@@ -484,8 +486,6 @@ class ExperimentConfig:
 
 
 def binomial_halfwidth(p_hat: float, count: int) -> float:
-    if count == 0:
-        return float("inf")
     return Z_95 * math.sqrt(p_hat * (1.0 - p_hat) / count)
 
 
@@ -507,21 +507,18 @@ def _draw_sample(config: ExperimentConfig, n: int, index: int) -> dict:
         "removal_size": len(g.removed),
         "image": contraction.image_count,
         "preimage": contraction.preimage_count,
-        "degenerate": contraction.image_count == 0,
+        "count_ratio": float(contraction.count_ratio),
     }
-    drawn = {"record": record, "graph": g, "contraction": contraction}
-    if not record["degenerate"]:
-        ratio_counts = float(contraction.count_ratio)
-        record["count_ratio"] = ratio_counts
-        record["possibility"] = classify_count_ratio(ratio_counts, config.ratio_low, config.ratio_high)
-        drawn["seed"] = int(rng.integers(0, 2**31))
-    return drawn
+    record["possibility"] = classify_count_ratio(record["count_ratio"], config.ratio_low, config.ratio_high)
+    return {"record": record, "graph": g, "contraction": contraction, "seed": int(rng.integers(0, 2**31))}
 
 
-def _finish_sample(config: ExperimentConfig, drawn: dict, q_r: float, q_f: float, cref: float) -> dict:
-    """The ratios, events and prefactors of a non-degenerate sample whose
-    restricted value is q_r, against the full value q_f and the classical
-    reference cref."""
+def _finish_sample(
+    config: ExperimentConfig, drawn: dict, q_r: float, q_f: float, cref: float, tube: RegionSet, section: RegionSet
+) -> dict:
+    """The ratios, events and prefactors of a sample whose restricted value
+    is q_r, against the full value q_f and the classical reference cref,
+    with the tube and section of its n."""
     record, g, contraction = drawn["record"], drawn["graph"], drawn["contraction"]
     ratios = ratio_variants(q_r, q_f, cref)
     record["q_full"] = q_f
@@ -541,8 +538,6 @@ def _finish_sample(config: ExperimentConfig, drawn: dict, q_r: float, q_f: float
     record["E3_difference"] = sandwich(record["R3_difference"], config.epsilon3)
     record["E3_quotient"] = sandwich(record["R3_quotient"], config.epsilon3)
     record["sweep"] = [sandwich(ratios["theorem"], theta) for theta in config.theta_grid]
-    tube = make_tube(g, axis=0, base=tuple([0] * config.d), width=config.tube_width)
-    section = make_section(tube, position=0)
     pf = proposition_prefactors(g, tube, section, config, contraction)
     record["prefactors"] = [int(f) for f in pf["F"]]
     record["prefactor_product"] = float(pf["product"]) if pf["product"] is not None else None
@@ -598,53 +593,50 @@ def estimate_events(config: ExperimentConfig) -> ExperimentReport:
     frequencies, prefactors, and the foam-event probability.  Bitwise
     reproducible for a fixed config.
 
-    Per n, every sample is drawn first, then the full game (seeded by the
-    config's seed) and the restrictions of the non-degenerate samples are
-    optimised as one batch, then each sample's ratios and events are
-    computed."""
+    Per n, the game, its classical reference, the tube and the section are
+    built once; every sample is drawn, then the full game (seeded by the
+    config's seed) and the restrictions of all samples are optimised as
+    one batch, then each sample's ratios and events are computed.  Every
+    sample is used, so ``excluded`` is always 0."""
     per_n = {}
     all_samples = []
+    count = config.samples
     for n in config.n_values:
-        ref = classical_reference(n, config.d)
-        drawn = [_draw_sample(config, n, i) for i in range(config.samples)]
-        live = [s for s in drawn if not s["record"]["degenerate"]]
+        game = make_odd_cycle_game(n, config.d)
+        ref = classical_reference(game)
+        tube = make_tube(TorusGraph(n, config.d), axis=0, base=tuple([0] * config.d), width=config.tube_width)
+        section = make_section(tube, position=0)
+        drawn = [_draw_sample(config, n, i) for i in range(count)]
         q_full, *optima = _optima(
-            n,
-            config.d,
-            [None] + [set(s["contraction"].surviving) for s in live],
-            [config.seed] + [s["seed"] for s in live],
+            game,
+            [None] + [set(s["contraction"].surviving) for s in drawn],
+            [config.seed] + [s["seed"] for s in drawn],
             config.opt_starts,
             config.opt_sweeps,
         )
-        for s, q_r in zip(live, optima):
-            _finish_sample(config, s, q_r, q_full, float(ref["value"]))
-        records = [s["record"] for s in drawn]
-        used = [r for r in records if not r["degenerate"]]
-        excluded = [r for r in records if r["degenerate"]]
-        if len(used) + len(excluded) != config.samples:
-            raise ExperimentError(
-                f"n={n}: {len(used)} used + {len(excluded)} excluded != {config.samples} samples"
-            )
-        count = len(used)
+        records = [
+            _finish_sample(config, s, q_r, q_full, float(ref["value"]), tube, section)
+            for s, q_r in zip(drawn, optima)
+        ]
         agg = {
             "n": n,
-            "samples": config.samples,
+            "samples": count,
             "used": count,
-            "excluded": len(excluded),
+            "excluded": 0,
             "classical_ref": str(ref["value"]),
             "classical_ref_float": float(ref["value"]),
             "classical_ref_method": ref["method"],
             "classical_ref_exact": ref["exact"],
             "q_full": q_full,
-            "acceptance_rate": count / max(1, sum(r["attempts"] for r in records)),
+            "acceptance_rate": count / sum(r["attempts"] for r in records),
             "theta_grid": list(config.theta_grid),
         }
 
         def share(hit) -> float:
-            return sum(1 for r in used if hit(r)) / count if count else 0.0
+            return sum(1 for r in records if hit(r)) / count
 
         def mean(key):
-            return float(np.mean([r[key] for r in used])) if used else None
+            return float(np.mean([r[key] for r in records]))
 
         for name, key in (
             ("P_E1", "E1"),
@@ -724,13 +716,19 @@ def minimizing_pair_indicators(per_pair: dict) -> dict:
     }
 
 
-def _check_foam_probes(n: int, d: int, samples: int):
+def _check_finite_positive(name: str, value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (math.isfinite(value) and value > 0):
+        raise ExperimentError(f"{name} must be a finite number above 0, got {value!r}")
+
+
+def _check_foam_probes(n: int, d: int, samples: int, lesssim_c: float):
     if n != 2:
         raise ExperimentError("foam probes are stated for n = 2")
     if d not in (2, 3):
         raise ExperimentError(f"foam probes are stated for d in {{2, 3}}, got {d}")
     if samples < 1:
         raise ExperimentError(f"foam probes need at least one sample, got {samples}")
+    _check_finite_positive("lesssim_c", lesssim_c)
 
 
 def foam_probes(
@@ -747,7 +745,7 @@ def foam_probes(
     blocker coincide with its cardinality for unit edge steps; the channel
     variant draws a random unit matrix per basis pair and takes the trace
     norm under the identity channel."""
-    _check_foam_probes(n, d, samples)
+    _check_foam_probes(n, d, samples, lesssim_c)
     rng = np.random.default_rng(seed)
     blocker = min_blocker(TorusGraph(n, d))
     surface_inf = blocker["size"]

@@ -218,14 +218,16 @@ def strategy_from_coordinate_rule(game: GameSpec, rule: Callable[[int], int]) ->
     return DeterministicStrategy(dict(table), dict(table))
 
 
-def wedge_witness(n: int, d: int) -> DeterministicStrategy:
-    """A closed-form strategy for the depth-d odd-cycle game, Bob playing
+def wedge_witness(game: GameSpec) -> DeterministicStrategy:
+    """A closed-form strategy for a depth-d odd-cycle game, Bob playing
     the best response.  Alice's bit i is x_i mod 2; for d >= 2 bits 0 and 1
     are flipped where two V-shaped cuts of the torus (m = (n+1)/2) put them:
     c_0 = [x0 < m + |x1 - m|] and c_1 = [x1 < m and x1 <= x0 <= n - x1].
     At d = 1 this is the x mod 2 product strategy; at d = 2 its value was
     1 - 3/(4n) for every odd n checked (3..31), an observed pattern."""
-    game = make_odd_cycle_game(n, d)
+    if game.kind != "odd-cycle":
+        raise GameError(f"the wedge witness is defined for odd-cycle games, not {game.kind!r}")
+    n, d = game.n, game.depth
     m = (n + 1) // 2
     alice = {}
     for q in game.alice_questions:

@@ -220,8 +220,8 @@ def blocker_integral_bound(steps: Sequence, n: int, epsilon: float) -> dict:
     closed curve on the torus, discretized into L-infinity unit steps
     (diagonal steps allowed).  The discrete Riemann sum stands in for the
     curve integral; clamping to [0,1] is flagged."""
-    if epsilon <= 0:
-        raise RegionError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise RegionError(f"epsilon must be a finite number above 0, got {epsilon}")
     if n < 2:
         raise RegionError("side length must be at least 2")
     if not steps:
@@ -309,6 +309,8 @@ def grow_consistent_cycle(
     uses the same machinery as ``winding_and_parity``.  The isoperimetric
     diagnostic (1.5 n vs 2 n^2 (1 - v)) is reported, never asserted.
     """
+    if max_points < 0:
+        raise RegionError(f"max_points must be at least 0, got {max_points}")
     rng = np.random.default_rng(seed)
     if strict:
         if not is_blocker(g.n, g.d, [edge_id(e, g.n) for e in g.removed], "odd-only"):

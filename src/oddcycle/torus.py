@@ -15,6 +15,7 @@ geometry is documentation only; nothing here computes with it.
 
 from __future__ import annotations
 
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -46,6 +47,10 @@ def torus_linf(a: Vertex, b: Vertex, n: int) -> int:
     return max(abs(wrapped_diff(x, y, n)) for x, y in zip(a, b))
 
 
+def _is_int(value) -> bool:
+    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
+
+
 @dataclass(frozen=True)
 class TorusGraph:
     """n^d wraparound grid with a set of removed edges."""
@@ -58,8 +63,11 @@ class TorusGraph:
         """Validate the shape and every removed edge.  A ``frozenset`` of
         edges of ``torus_edges(n, d)`` is valid as a whole (the set holds
         no duplicates), so it is accepted by one subset test; any other
-        input is checked edge by edge and kept as a frozenset.  An empty
-        removal needs no edge table, which takes O(n^d) memory to build."""
+        input is checked edge by edge (integer coordinates and axis, not
+        bools) and kept as a frozenset.  An empty removal needs no edge
+        table, which takes O(n^d) memory to build."""
+        if not (_is_int(self.n) and _is_int(self.d)):
+            raise TorusError(f"n and d must be integers, got n={self.n!r}, d={self.d!r}")
         if self.n < 2:
             raise TorusError("side length must be at least 2")
         if self.d < 1:
@@ -70,9 +78,9 @@ class TorusGraph:
         seen = set()
         for edge in removed:
             vertex, axis = edge
-            if not (0 <= axis < self.d):
+            if not (_is_int(axis) and 0 <= axis < self.d):
                 raise TorusError(f"invalid axis in removed edge {edge!r}")
-            if len(vertex) != self.d or any(not (0 <= c < self.n) for c in vertex):
+            if len(vertex) != self.d or any(not (_is_int(c) and 0 <= c < self.n) for c in vertex):
                 raise TorusError(f"invalid vertex in removed edge {edge!r}")
             if edge in seen:
                 raise TorusError(f"duplicate removed edge {edge!r}")
@@ -142,8 +150,12 @@ class TorusGraph:
     def from_json(cls, data: dict) -> "TorusGraph":
         if not isinstance(data, dict) or not {"n", "d"} <= data.keys():
             raise TorusError("a torus graph is a JSON object with keys n, d and optionally removed")
-        removed = frozenset((tuple(v), a) for v, a in data.get("removed", []))
-        return cls(int(data["n"]), int(data["d"]), removed)
+        # a set, not a frozenset: repeats merge, and every edge is checked
+        try:
+            removed = {(tuple(v), a) for v, a in data.get("removed", [])}
+        except (TypeError, ValueError):
+            raise TorusError("removed must be a list of [vertex, axis] pairs") from None
+        return cls(data["n"], data["d"], removed)
 
 
 def transverse_cut_blocker(n: int, d: int = 2) -> frozenset:

@@ -431,6 +431,34 @@ BAD_INPUTS = {
     "repeat-value-negative": ({}, ["repeat", "--n", "3", "--d", "2", "--value=-0.25"]),
     "norms-vector-nan": ({}, ["norms", "--vector", "1,nan"]),
     "norms-vector-inf": ({}, ["norms", "--vector", "inf"]),
+    "curve-epsilon-nan": ({}, ["norms", "--curve", "1,0;1,0;1,0", "--n", "3", "--epsilon", "nan"]),
+    "curve-epsilon-inf": ({}, ["norms", "--curve", "1,0;1,0;1,0", "--n", "3", "--epsilon", "inf"]),
+    "foam-lesssim-c-nan": ({}, ["foam", "--lesssim-c", "nan"]),
+    "foam-lesssim-c-0": ({}, ["foam", "--lesssim-c", "0"]),
+    "pearls-max-points-negative": ({}, ["pearls", "--grow", "--max-points=-1"]),
+    # a torus graph holds integers only, rather than a phantom edge or a truncated n
+    "graph-coordinate-half": (
+        {"graph.json": '{"n": 3, "d": 2, "removed": [[[0.5, 0], 0]]}'},
+        ["blocker", "--graph", "{tmp}/graph.json"],
+    ),
+    "graph-axis-half": (
+        {"graph.json": '{"n": 3, "d": 2, "removed": [[[0, 0], 0.5]]}'},
+        ["blocker", "--graph", "{tmp}/graph.json"],
+    ),
+    "graph-coordinate-float-zero": (
+        {"graph.json": '{"n": 3, "d": 2, "removed": [[[0.0, 0], 0]]}'},
+        ["blocker", "--graph", "{tmp}/graph.json"],
+    ),
+    "graph-n-float": ({"graph.json": '{"n": 3.7, "d": 2}'}, ["blocker", "--graph", "{tmp}/graph.json"]),
+    "graph-d-string": ({"graph.json": '{"n": 3, "d": "2"}'}, ["blocker", "--graph", "{tmp}/graph.json"]),
+    "graph-edge-not-a-pair": (
+        {"graph.json": '{"n": 3, "d": 2, "removed": [[5, 0]]}'},
+        ["blocker", "--graph", "{tmp}/graph.json"],
+    ),
+    "graph-axis-list": (
+        {"graph.json": '{"n": 3, "d": 2, "removed": [[[0, 0], [1]]]}'},
+        ["blocker", "--graph", "{tmp}/graph.json"],
+    ),
 }
 
 

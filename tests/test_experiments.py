@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddcycle import experiments
+from oddcycle import experiments, games
 from oddcycle.experiments import (
     ExperimentConfig,
     ExperimentError,
@@ -102,6 +102,23 @@ def test_contraction_counts_against_recount_on_random_removals(n, d, data):
     assert sorted(cm.surviving) == sorted(survivors)
 
 
+@pytest.mark.parametrize("n, d", [(3, 1), (3, 2), (5, 1), (5, 2)])
+def test_contraction_keeps_the_t0_pairs_with_every_edge_removed(n, d):
+    cm = contraction_map(TorusGraph(n, d, frozenset(torus_edges(n, d))))
+    assert sorted(cm.surviving) == [(u, u) for u in product(range(n), repeat=d)]
+    assert cm.image_count == n**d
+    assert cm.count_ratio == 2**d
+
+
+def test_contraction_raises_below_the_t0_pairs(monkeypatch):
+    # a broken path table in which every pair crosses one removed edge
+    edge = ((0, 0), 0)
+    broken = tuple(((edge,), pair) for _, pair in experiments._elementary_paths(3, 2))
+    monkeypatch.setattr(experiments, "_elementary_paths", lambda n, d: broken)
+    with pytest.raises(ExperimentError, match="fewer than the 9"):
+        contraction_map(TorusGraph(3, 2, frozenset({edge})))
+
+
 def test_count_ratio_at_least_one():
     g = TorusGraph(3, 2)
     cm = contraction_map(g)
@@ -127,7 +144,7 @@ def test_sample_transverse_always_accepted():
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     rec = sample_torical_graph(3, 2, {"kind": "transverse"}, rng)
-    assert rec["attempts"] == 1
+    assert rec["attempts"] == 1 and set(rec) == {"graph", "attempts"}
     assert verify_blocker(rec["graph"], "odd-only")["blocked"]
     # the law draws nothing
     assert rng.bit_generator.state == state
@@ -346,11 +363,29 @@ def test_sample_size_six_acceptance_matches_exhaustive_count():
 def test_restricted_values_identity_contraction():
     g = TorusGraph(3, 2)  # empty removal: test-only bypass, not torical
     rec = restricted_values(g, 3, 2, seed=5)
-    assert not rec["degenerate"]
     assert rec["q_restricted"] == rec["q_full"]
     ratios = ratio_variants(rec["q_restricted"], rec["q_full"], rec["classical_ref"])
     assert ratios["theorem"] == 0.0
     assert ratios["proof"] == 1.0
+
+
+def record_calls(monkeypatch, built: list, module, name: str, key):
+    """Wrap module.name so that each call appends (name, key(its args))."""
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        built.append((name, key(*args, **kwargs)))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_restricted_values_builds_its_game_once(monkeypatch):
+    built = []
+    for module in (experiments, games):
+        record_calls(monkeypatch, built, module, "make_odd_cycle_game", lambda n, d=1: (n, d))
+    restricted_values(TorusGraph(5, 2, transverse_cut_blocker(5, 2)), 5, 2, starts=1, sweeps=5)
+    assert built == [("make_odd_cycle_game", (5, 2))]
 
 
 def test_restricted_values_transverse_cut():
@@ -375,7 +410,7 @@ def test_ratio_variants():
 
 
 def test_classical_reference_modes(monkeypatch):
-    exact = classical_reference(3, 2)
+    exact = classical_reference(make_odd_cycle_game(3, 2))
     assert exact == {"value": Fraction(3, 4), "method": "alice-exhaustive-best-response", "exact": True}
 
     def no_search(*args, **kwargs):
@@ -383,7 +418,7 @@ def test_classical_reference_modes(monkeypatch):
 
     monkeypatch.setattr(experiments, "classical_value_search", no_search)
     for n in range(5, 16, 2):
-        ref = classical_reference(n, 2)
+        ref = classical_reference(make_odd_cycle_game(n, 2))
         assert ref == {"value": 1 - Fraction(3, 4 * n), "method": "wedge-witness", "exact": False}
 
 
@@ -392,9 +427,10 @@ def test_classical_reference_never_below_product_witness(seed):
     # the wedge witness took the place of the estimator's 60k-iteration
     # search, so it must not fall below that search at either seed
     for n in range(5, 16, 2):
-        ref = classical_reference(n, 2)["value"]
+        game = make_odd_cycle_game(n, 2)
+        ref = classical_reference(game)["value"]
         assert ref >= Fraction(2 * n - 1, 2 * n) ** 2
-        assert ref >= classical_value_search(make_odd_cycle_game(n, 2), seed=seed, iterations=60_000).exact
+        assert ref >= classical_value_search(game, seed=seed, iterations=60_000).exact
 
 
 def test_prefactors_on_fixture():
@@ -440,6 +476,23 @@ def test_estimate_events_reproducible_and_conserved():
         assert 0.0 <= agg[key] <= 1.0
     sweep = agg["sweep_phat"]
     assert all(a >= b for a, b in zip(sweep, sweep[1:]))  # grid is sorted ascending
+
+
+def test_estimate_events_builds_each_n_game_tube_and_section_once(monkeypatch):
+    built = []
+    for module in (experiments, games):
+        record_calls(monkeypatch, built, module, "make_odd_cycle_game", lambda n, d=1: (n, d))
+    record_calls(monkeypatch, built, experiments, "make_tube", lambda g, **kw: g.n)
+
+    def tube_n(tube, **kw):
+        # axis 0 runs the whole loop, so the tube's extent along it is n
+        return 1 + max(v[0] for v in tube.members)
+
+    record_calls(monkeypatch, built, experiments, "make_section", tube_n)
+    estimate_events(ExperimentConfig(n_values=(3, 5), samples=4, foam_samples=1))
+    assert sorted(key[0] for name, key in built if name == "make_odd_cycle_game" and key[1] == 2) == [3, 5]
+    assert sorted(n for name, n in built if name == "make_tube") == [3, 5]
+    assert sorted(n for name, n in built if name == "make_section") == [3, 5]
 
 
 def test_estimate_events_possibility_four_never():
@@ -525,6 +578,15 @@ def test_report_surface_fields():
         {"foam_d": 1},
         {"foam_d": 4},
         {"foam_samples": 0},
+        # before sampling, not as a ZeroDivisionError, NaN bound or dead class
+        {"m": 0},
+        {"m": float("nan")},
+        {"m": float("inf")},
+        {"lesssim_c": float("nan")},
+        {"lesssim_c": 0.0},
+        {"lesssim_c": -1.0},
+        {"lesssim_c": float("inf")},
+        {"ratio_low": 3.0, "ratio_high": 1.5},
     ],
 )
 def test_experiment_config_rejects_bad_values(bad):
@@ -565,6 +627,9 @@ def test_foam_probes_rejects_bad_quantifiers():
         foam_probes(n=3, d=2)
     with pytest.raises(ExperimentError):
         foam_probes(n=2, d=4)
+    for lesssim_c in (float("nan"), float("inf"), 0.0, -2.0):
+        with pytest.raises(ExperimentError, match="lesssim_c"):
+            foam_probes(n=2, d=2, lesssim_c=lesssim_c)
 
 
 @pytest.mark.parametrize("seed", [42, 3])

@@ -449,18 +449,26 @@ def test_product_witness_supermultiplicativity():
 
 def test_wedge_witness_value_agrees_with_regions_oracle():
     for n in range(3, 16, 2):
-        witness = wedge_witness(n, 2)
-        value = evaluate_strategy(make_odd_cycle_game(n, 2), witness)
+        game = make_odd_cycle_game(n, 2)
+        witness = wedge_witness(game)
+        value = evaluate_strategy(game, witness)
         assert value == value_via_regions(witness.alice_table, n, 2) == 1 - Fraction(3, 4 * n)
+
+
+def test_wedge_witness_rejects_other_games():
+    with pytest.raises(GameError, match="odd-cycle"):
+        wedge_witness(make_chsh_game(2))
 
 
 def test_wedge_witness_depth_one_and_three():
     # d = 1 is the x mod 2 strategy; at d = 3 the third bit is x2 mod 2, a
     # product strategy on a product game, so the values multiply
     for n in (3, 5, 7):
-        assert wedge_witness(n, 1) == xmod2(make_odd_cycle_game(n, 1))
+        game = make_odd_cycle_game(n, 1)
+        assert wedge_witness(game) == xmod2(game)
     for n in (3, 5):
-        value = evaluate_strategy(make_odd_cycle_game(n, 3), wedge_witness(n, 3))
+        game = make_odd_cycle_game(n, 3)
+        value = evaluate_strategy(game, wedge_witness(game))
         assert value == (1 - Fraction(3, 4 * n)) * (1 - Fraction(1, 2 * n))
 
 

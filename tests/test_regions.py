@@ -230,6 +230,12 @@ def test_integral_bound_open_curve_rejected():
             blocker_integral_bound([(1, 0), (0, 1), (-1, 0), (0, -1)], n, 0.01)
 
 
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -0.5])
+def test_integral_bound_rejects_epsilon_not_finite_and_positive(epsilon):
+    with pytest.raises(RegionError, match="epsilon"):
+        blocker_integral_bound([(1, 0)] * 3, 3, epsilon)
+
+
 def test_integral_bound_below_pearl_value():
     # the bound from a short contractible curve never exceeds the measured
     # value of the parity strategy on the same torus size
@@ -269,6 +275,11 @@ def test_grow_zero_points():
     assert out["completed"]
     assert out["even"] and out["homotopy_zero"]
     assert out["cycle"].vertices == []
+
+
+def test_grow_rejects_negative_max_points():
+    with pytest.raises(RegionError, match="max_points"):
+        grow_consistent_cycle(torical_graph(), xmod2_table(5, 2), seed=0, max_points=-1)
 
 
 def test_grow_no_extension():

@@ -435,12 +435,32 @@ def test_graph_validation():
         (((0, -1), 1), "invalid vertex"),
         (((0, 3), 0), "invalid vertex"),
         (((0, 0, 0), 0), "invalid vertex"),
+        (((0.5, 0), 0), "invalid vertex"),
+        (((0, 0), 0.5), "invalid axis"),
     ],
 )
 def test_graph_validation_rejects_bad_edge(container, bad, message):
     # a valid edge alongside: the frozenset subset test must fail as a whole
     with pytest.raises(TorusError, match=message):
         TorusGraph(3, 2, container([((1, 2), 0), bad]))
+
+
+@pytest.mark.parametrize("bad, message", [(((0, 0), True), "invalid axis"), (((False, 0), 0), "invalid vertex")])
+def test_graph_validation_rejects_bool_coordinates_and_axes(bad, message):
+    # equal to the int edge, so only the per-edge path of a list sees them
+    with pytest.raises(TorusError, match=message):
+        TorusGraph(3, 2, [bad])
+
+
+@pytest.mark.parametrize("n, d", [(3.7, 2), (3.0, 2), (3, 2.0), (3, True), (True, 2)])
+def test_graph_rejects_a_non_integer_shape(n, d):
+    with pytest.raises(TorusError, match="must be integers"):
+        TorusGraph(n, d)
+
+
+def test_graph_from_json_merges_a_repeated_edge():
+    g = TorusGraph.from_json({"n": 3, "d": 2, "removed": [[[1, 2], 0], [[1, 2], 0]]})
+    assert g.removed == frozenset({((1, 2), 0)})
 
 
 def test_graph_validation_rejects_duplicate_edge_in_list():
