@@ -45,7 +45,6 @@ from .regions import (
     blocker_integral_bound,
     build_pearl,
     diamond_norm,
-    gap_overlap,
     grow_consistent_cycle,
     l2_sandwich,
     lambda_measure,

@@ -9,8 +9,9 @@ removed edge; restricted values are heuristic angle-optimization suprema
 over the surviving pairs.  A pair with t = 0 has an empty path, so every
 removal keeps at least n^d pairs and every sample is used.  "One round of
 ordinary parallel repetition" squares the base values and the classical
-reference (exact repeated values are beyond any exhaustive budget).  The reference is exact within the
-Alice-table budget, else the value of the closed-form wedge witness.
+reference (exact repeated values are beyond any exhaustive budget).  The
+reference is exact within the Alice-table budget, else the value of the
+closed-form wedge witness.
 
 Every sample draws its own generator from the master seed by a counter
 split, so a fixed config gives the same bytes on every rerun.  A sample's
@@ -143,11 +144,12 @@ def classify_count_ratio(ratio: float, low: float, high: float) -> int:
 
 MAX_SAMPLE_ATTEMPTS = 100_000
 # bound on a chunk's rows x edges, which bounds each of its arrays; a law
-# is chunked only if size x edges fits, so that a chunk holds size rows
-SAMPLE_CHUNK_CELLS = 1 << 16
+# is chunked only if size x edges fits, so that a chunk holds size rows.
 # numpy's choice(N, k, replace=False) is Floyd's algorithm unless
-# N > FLOYD_MAX_POPULATION and k > N // 50, where it is a tail shuffle
-FLOYD_MAX_POPULATION = 10_000
+# N > 10,000 and k > N // 50, where it is a tail shuffle; there
+# k x N >= 10,001 x 201, far above this bound, so every chunked law's
+# draws are Floyd's
+SAMPLE_CHUNK_CELLS = 1 << 16
 # removal-law kind -> the keys it needs
 REMOVAL_LAWS = {
     "transverse": (),
@@ -193,10 +195,9 @@ def sample_torical_graph(n: int, d: int, removal_law: dict, rng) -> dict:
     a == b) and then ``rng.choice(N, size, replace=False)`` (N edges).  A
     law whose size is fixed (a == b) and whose size x N is at most
     SAMPLE_CHUNK_CELLS draws in chunks from its first attempt
-    (``_first_blocker_in_chunks``), unless N > FLOYD_MAX_POPULATION and
-    size > N // 50, where numpy's choice is not Floyd's algorithm; the
-    other laws draw attempt by attempt.  Both give the stream, the
-    attempts and the accepted graph of the per-attempt loop.
+    (``_first_blocker_in_chunks``); the other laws draw attempt by
+    attempt.  Both give the stream, the attempts and the accepted graph of
+    the per-attempt loop.
 
     Returns the graph plus attempt statistics; aborts with diagnostics when
     the acceptance rate collapses.
@@ -219,11 +220,7 @@ def sample_torical_graph(n: int, d: int, removal_law: dict, rng) -> dict:
             f"removal size range [{low}, {high}] outside [0, {len(edges)}] edges"
         )
 
-    if (
-        low == high
-        and low * len(edges) <= SAMPLE_CHUNK_CELLS
-        and not (len(edges) > FLOYD_MAX_POPULATION and low > len(edges) // 50)
-    ):
+    if low == high and low * len(edges) <= SAMPLE_CHUNK_CELLS:
         found = _first_blocker_in_chunks(n, d, low, rng)
     else:
         found = _first_blocker_per_attempt(n, d, low, high, rng)
@@ -233,8 +230,7 @@ def sample_torical_graph(n: int, d: int, removal_law: dict, rng) -> dict:
             f"(n={n}, d={d}, law={removal_law}); acceptance below 1e-4"
         )
     attempts, ids = found
-    g = TorusGraph(n, d, frozenset(edges[i] for i in ids))
-    return {"graph": g, "attempts": attempts}
+    return {"graph": TorusGraph._from_ids(n, d, ids), "attempts": attempts}
 
 
 def _first_blocker_per_attempt(n: int, d: int, low: int, high: int, rng) -> Optional[tuple]:
@@ -305,7 +301,7 @@ def restricted_values(g: TorusGraph, base_n: int, d: int = 2, seed: int = 0, sta
         raise ExperimentError("graph shape does not match the requested game")
     contraction = contraction_map(g)
     game = make_odd_cycle_game(base_n, d)
-    full_value, restricted = _optima(game, [None, set(contraction.surviving)], [seed, seed], starts, sweeps)
+    full_value, restricted = _optima(game, [None, contraction.surviving], [seed, seed], starts, sweeps)
     return {
         "q_full": full_value,
         "q_restricted": restricted,
@@ -609,7 +605,7 @@ def estimate_events(config: ExperimentConfig) -> ExperimentReport:
         drawn = [_draw_sample(config, n, i) for i in range(count)]
         q_full, *optima = _optima(
             game,
-            [None] + [set(s["contraction"].surviving) for s in drawn],
+            [None] + [s["contraction"].surviving for s in drawn],
             [config.seed] + [s["seed"] for s in drawn],
             config.opt_starts,
             config.opt_sweeps,

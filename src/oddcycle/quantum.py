@@ -222,11 +222,11 @@ POLISH_AFTER = 20
 POLISH_STEPS = 12
 
 
-def _newton(z1: complex, z2: complex, a: float, steps: int) -> tuple:
-    """Up to `steps` Newton steps on g'(a) = -Im(z1 e^{ia}) - 2 Im(z2 e^{2ia})
-    from a, taken while g''(a) < 0; returns the angle and whether a step
-    fell below 1e-12."""
-    for _ in range(steps):
+def _newton(z1: complex, z2: complex, a: float) -> float:
+    """Up to NEWTON_STEPS Newton steps on g'(a) = -Im(z1 e^{ia}) -
+    2 Im(z2 e^{2ia}) from a, taken while g''(a) < 0 and until a step falls
+    below 1e-12."""
+    for _ in range(NEWTON_STEPS):
         e = cmath.exp(1j * a)
         u1, u2 = z1 * e, z2 * e * e
         curvature = -u1.real - 4.0 * u2.real
@@ -235,22 +235,15 @@ def _newton(z1: complex, z2: complex, a: float, steps: int) -> tuple:
         step = (u1.imag + 2.0 * u2.imag) / curvature
         a += step
         if abs(step) < 1e-12:
-            return a, True
-    return a, False
+            break
+    return a
 
 
 def _maximize_profile(z1: complex, z2: complex) -> float:
-    """Angle a maximizing g(a) = Re(z1 e^{ia}) + Re(z2 e^{2ia}).
-
-    When |z1| > 4|z2|, arg(z1 e^{ia} + 2 z2 e^{2ia}) strictly increases, so
-    g has one maximum; for 8|z2| <= |z1| Newton steps from -arg(z1) find it.
-    Otherwise, or if those steps do not settle, g has at most two local
-    maxima: the best two circular peaks of the 256-point grid (the second
-    only if it can still win) are polished by Newton steps."""
-    if 8.0 * abs(z2) <= abs(z1):
-        a, settled = _newton(z1, z2, -cmath.phase(z1), SINGLE_PEAK_STEPS)
-        if settled:
-            return a
+    """Angle a maximizing g(a) = Re(z1 e^{ia}) + Re(z2 e^{2ia}).  g has at
+    most two local maxima: the best two circular peaks of the 256-point
+    grid (the second only if it can still win) are polished by Newton
+    steps."""
     ring = _RING_BASIS @ np.array((z1.real, z1.imag, z2.real, z2.imag))
     values = ring[1:-1]
     peaks = ((values > ring[:-2]) & (values >= ring[2:])).nonzero()[0]
@@ -260,7 +253,7 @@ def _maximize_profile(z1: complex, z2: complex) -> float:
     for value, i in sorted(zip(values[peaks].tolist(), peaks.tolist()), reverse=True)[:2]:
         if value + grid_error < best[0]:
             break
-        a = _newton(z1, z2, float(_GRID[i]), NEWTON_STEPS)[0]
+        a = _newton(z1, z2, float(_GRID[i]))
         polished = (z1 * cmath.exp(1j * a) + z2 * cmath.exp(2j * a)).real
         best = max(best, (value, float(_GRID[i])), (polished, a))
     return best[1]
@@ -414,10 +407,13 @@ def _cis(a: np.ndarray) -> np.ndarray:
 
 
 def _maximize_profiles(z1: np.ndarray, z2: np.ndarray, wanted: np.ndarray) -> np.ndarray:
-    """_maximize_profile of every (z1[i], z2[i]) with wanted[i]; the other
-    entries are left arbitrary.  The single-peak Newton steps run on the
-    arrays, each row until its own step falls below 1e-12; a row that
-    leaves that branch goes to the scalar maximiser."""
+    """The angle maximizing g(a) = Re(z1[i] e^{ia}) + Re(z2[i] e^{2ia}) for
+    every i with wanted[i]; the other entries are left arbitrary.  When
+    |z1| > 4|z2|, arg(z1 e^{ia} + 2 z2 e^{2ia}) strictly increases, so g
+    has one maximum; for 8|z2| <= |z1| up to SINGLE_PEAK_STEPS Newton steps
+    from -arg(z1) find it, run on the arrays, each row until its own step
+    falls below 1e-12.  A wanted row that is not settled there goes to
+    the grid stage, _maximize_profile."""
     a = -np.angle(z1)
     settled = np.zeros(len(a), dtype=bool)
     todo = (8.0 * np.abs(z2) <= np.abs(z1)).nonzero()[0]
@@ -459,25 +455,20 @@ def _profiles(block: tuple, phase: list, r1: np.ndarray) -> tuple:
     return z1, z2, p
 
 
-def _ascend(forms: _AngleForms, rows: np.ndarray, angles: list, sweeps: int, tol: float) -> tuple:
-    """Sweeps of Gauss-Seidel updates over the rows (row index last) from
-    the start angles, one step per block of forms.blocks: the keys of a
-    block are maximised together, which gives the iterates of updating them
-    one at a time, since none of them changes another's profile.  A key a
-    row's restriction lacks is never updated; a row drops out of the
-    working arrays once a sweep gains less than tol.  Returns every row's
-    last value and angles; the start arrays are left as they are."""
+def _ascend(forms: _AngleForms, rows: np.ndarray, angles: list, sweeps: int) -> list:
+    """`sweeps` sweeps of Gauss-Seidel updates over the rows (row index
+    last) from the start angles, one step per block of forms.blocks: the
+    keys of a block are maximised together, which gives the iterates of
+    updating them one at a time, since none of them changes another's
+    profile.  A key a row's restriction lacks is never updated.  Returns
+    every row's angles; the start arrays are left as they are."""
     angles = [a.copy() for a in angles]
     phase = [_cis(a) for a in angles]
     r1 = np.ones((len(forms.ends[0]) + 1, len(rows)))
     r1[:-1] = (phase[0][forms.ends[0]] * phase[1][forms.ends[1]]).real
-    A = forms.A[..., rows]
     blocks = [(fixed, [x[..., rows] for x in per_row]) for fixed, per_row in forms.blocks]
-    value = _forms(A, r1)
-    final = (value.copy(), [a.copy() for a in angles])
-    live = np.arange(len(rows))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for sweep in range(sweeps):
+        for _ in range(sweeps):
             for block in blocks:
                 (side, keys, inc, *_), (*_, on) = block
                 z1, z2, p = _profiles(block, phase, r1)
@@ -485,20 +476,7 @@ def _ascend(forms: _AngleForms, rows: np.ndarray, angles: list, sweeps: int, tol
                 angles[side][keys] = a = np.where(on, best, angles[side][keys])
                 phase[side][keys] = w = _cis(a)
                 r1[inc] = (w[:, None] * p).real
-            value, previous = _forms(A, r1), value
-            going = ~(value - previous < tol) & (sweep + 1 < sweeps)
-            if going.all():
-                continue
-            final[0][live] = value
-            for side in (0, 1):
-                final[1][side][:, live] = angles[side]
-            if not going.any():
-                break
-            live, value, A, r1 = live[going], value[going], A[..., going], r1[:, going]
-            angles, phase = [a[:, going] for a in angles], [f[:, going] for f in phase]
-            for _, per_row in blocks:  # one block at a time, so old and new never all coexist
-                per_row[:] = [x[..., going] for x in per_row]
-    return final
+    return angles
 
 
 def _solve_negative_definite(H: np.ndarray, g: np.ndarray) -> tuple:
@@ -626,7 +604,7 @@ def optimize_restrictions(
     todo, spent = np.arange(len(rows)), 0
     while True:
         run = min(POLISH_AFTER, sweeps - spent)
-        part = _ascend(forms, rows[todo], [side[:, todo] for side in angles], run, tol)[1]
+        part = _ascend(forms, rows[todo], [side[:, todo] for side in angles], run)
         got, part, settled = _polish(forms, rows[todo], part)
         gained = got - values[todo]
         values[todo] = got

@@ -60,23 +60,18 @@ class TorusGraph:
     removed: frozenset = frozenset()
 
     def __post_init__(self):
-        """Validate the shape and every removed edge.  A ``frozenset`` of
-        edges of ``torus_edges(n, d)`` is valid as a whole (the set holds
-        no duplicates), so it is accepted by one subset test; any other
-        input is checked edge by edge (integer coordinates and axis, not
-        bools) and kept as a frozenset.  An empty removal needs no edge
-        table, which takes O(n^d) memory to build."""
+        """Validate the shape and every removed edge (integer coordinates
+        and axis, not bools), kept as a frozenset.  Edges known to be
+        valid, given by their ``torus_edges`` ids, skip the per-edge
+        checks through ``_from_ids``."""
         if not (_is_int(self.n) and _is_int(self.d)):
             raise TorusError(f"n and d must be integers, got n={self.n!r}, d={self.d!r}")
         if self.n < 2:
             raise TorusError("side length must be at least 2")
         if self.d < 1:
             raise TorusError("dimension must be at least 1")
-        removed = self.removed
-        if isinstance(removed, frozenset) and (not removed or removed <= _edge_set(self.n, self.d)):
-            return
         seen = set()
-        for edge in removed:
+        for edge in self.removed:
             vertex, axis = edge
             if not (_is_int(axis) and 0 <= axis < self.d):
                 raise TorusError(f"invalid axis in removed edge {edge!r}")
@@ -86,6 +81,15 @@ class TorusGraph:
                 raise TorusError(f"duplicate removed edge {edge!r}")
             seen.add(edge)
         object.__setattr__(self, "removed", frozenset(seen))
+
+    @classmethod
+    def _from_ids(cls, n: int, d: int, ids) -> "TorusGraph":
+        """The n^d graph without the edges ``torus_edges(n, d)[i]`` for i in
+        ids: edges of the table by construction, so only the shape is
+        checked."""
+        g, edges = cls(n, d), torus_edges(n, d)
+        object.__setattr__(g, "removed", frozenset(edges[i] for i in ids))
+        return g
 
     # -- basic structure ---------------------------------------------------
 
@@ -334,11 +338,6 @@ def torus_edges(n: int, d: int = 2) -> tuple:
     return tuple((v, axis) for v in product(range(n), repeat=d) for axis in range(d))
 
 
-@lru_cache(maxsize=32)
-def _edge_set(n: int, d: int) -> frozenset:
-    return frozenset(torus_edges(n, d))
-
-
 def edge_id(edge: Edge, n: int) -> int:
     vertex, axis = edge
     rank = 0
@@ -570,14 +569,13 @@ def _min_blocker_heuristic(g0: TorusGraph, mode: str, seed: int) -> dict:
         kept.remove(e)
         if not is_blocker(n, d, kept, mode):
             kept.add(e)
-    edges = torus_edges(n, d)
-    current = {edges[e] for e in kept}
+    g = TorusGraph._from_ids(n, d, kept)
     # independent cross-check of the kernel by the labelling BFS
-    if not verify_blocker(TorusGraph(n, d, frozenset(current)), mode)["blocked"]:
-        raise TorusError(f"heuristic {mode} blocker of size {len(current)} does not block")
+    if not verify_blocker(g, mode)["blocked"]:
+        raise TorusError(f"heuristic {mode} blocker of size {len(g.removed)} does not block")
     return {
-        "size": len(current),
-        "edges": current,
+        "size": len(g.removed),
+        "edges": set(g.removed),
         "method": "heuristic",
         "upper_bound_only": True,
     }

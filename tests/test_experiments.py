@@ -309,16 +309,21 @@ def test_range_laws_match_reference_loop(law, chunked, monkeypatch):
     assert sizes == ([7, 7, 7] if chunked else [])
 
 
-@pytest.mark.parametrize("size, chunked", [(201, True), (202, False)])
-def test_sampler_numpy_regime_edge(size, chunked, monkeypatch):
-    # at N = 2 * 71^2 = 10,082 edges numpy's choice is Floyd's algorithm
-    # only up to N // 50 = 201 edges, and only then are attempts chunked;
-    # the cell bound is raised so that both sizes would fit
-    monkeypatch.setattr(experiments, "SAMPLE_CHUNK_CELLS", 1 << 21)
-    monkeypatch.setattr(experiments, "MAX_SAMPLE_ATTEMPTS", 11)
-    sizes = _spy_chunks(monkeypatch)
-    _assert_sampler_matches_reference(71, 2, {"kind": "uniform-size", "size": size}, 0)
-    assert sizes == ([size] * 3 if chunked else [])
+def test_chunked_laws_stay_in_numpys_floyd_regime():
+    # numpy's choice(N, k, replace=False) is a tail shuffle only for
+    # N > 10,000 and k > N // 50, so k x N >= 10,001 x 201 there: no law
+    # that fits a chunk reaches it
+    assert experiments.SAMPLE_CHUNK_CELLS < 10_001 * 201
+
+
+def test_sampled_graphs_skip_the_per_edge_checks(monkeypatch):
+    # the sampler builds its graph from edge ids: only empty removals
+    # reach TorusGraph's per-edge checks
+    checked, post_init = [], TorusGraph.__post_init__
+    monkeypatch.setattr(TorusGraph, "__post_init__", lambda g: checked.append(len(g.removed)) or post_init(g))
+    graph = sample_torical_graph(15, 2, ExperimentConfig().removal_law, np.random.default_rng(42))["graph"]
+    assert graph.removed and set(checked) == {0}
+    assert graph == TorusGraph(15, 2, list(graph.removed))
 
 
 def test_sampler_runs_is_blocker_only_on_rows_touching_every_loop(monkeypatch):

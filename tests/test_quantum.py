@@ -18,7 +18,7 @@ from oddcycle.quantum import (
     _cis,
     _derivatives,
     _forms,
-    _maximize_profile,
+    _maximize_profiles,
     _profiles,
     _solve_negative_definite,
     bell_phase_state,
@@ -360,12 +360,12 @@ COEFFICIENT = st.builds(complex, st.floats(-1, 1), st.floats(-1, 1))
 )
 # two nearly equal maxima, where the best grid peak is not the best maximum
 @example(z1=0.001 + 0.001j, z2=0.013 - 0.66j, z1_scale=1.0)
-# the single-peak Newton branch: z2 = 0, and |z2|/|z1| just below 1/8 at three relative phases
+# the batched single-peak Newton stage: z2 = 0, and |z2|/|z1| just below 1/8 at three relative phases
 @example(z1=0.3 - 0.7j, z2=0j, z1_scale=1.0)
 @example(z1=cmath.rect(0.8, 0.3), z2=cmath.rect(0.1 - 1e-10, 0.6), z1_scale=1.0)
 @example(z1=cmath.rect(0.8, 0.3), z2=cmath.rect(0.1 - 1e-10, 0.6 + math.pi / 2), z1_scale=1.0)
 @example(z1=cmath.rect(0.8, 0.3), z2=cmath.rect(0.1 - 1e-10, 0.6 + math.pi), z1_scale=1.0)
-# the grid branch: |z2|/|z1| just above 1/8 at the same phases, and z1 = 0
+# the grid stage: |z2|/|z1| just above 1/8 at the same phases, and z1 = 0
 @example(z1=cmath.rect(0.8, 0.3), z2=cmath.rect(0.1 + 1e-10, 0.6), z1_scale=1.0)
 @example(z1=cmath.rect(0.8, 0.3), z2=cmath.rect(0.1 + 1e-10, 0.6 + math.pi / 2), z1_scale=1.0)
 @example(z1=cmath.rect(0.8, 0.3), z2=cmath.rect(0.1 + 1e-10, 0.6 + math.pi), z1_scale=1.0)
@@ -378,7 +378,8 @@ def test_maximize_profile_beats_fine_grid(z1, z2, z1_scale):
     def profile(a):
         return (z1 * np.exp(1j * a) + z2 * np.exp(2j * a)).real
 
-    best = _maximize_profile(z1, z2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        best = _maximize_profiles(np.array([z1]), np.array([z2]), np.array([True]))[0]
     assert profile(np.array([best]))[0] >= profile(FINE_GRID).max() - 1e-12
 
 
@@ -410,6 +411,13 @@ def test_batched_restrictions_match_scalar_kernel(n, starts, sweeps):
         _check_batched_rows(n, starts, sweeps, depth)
 
 
+def _values(forms, rows, angles):
+    """Every row's objective at the per-side angles of an ascent."""
+    r1 = np.ones((len(forms.ends[0]) + 1, len(rows)))
+    r1[:-1] = np.cos(angles[0][forms.ends[0]] + angles[1][forms.ends[1]])
+    return _forms(forms.A[..., rows], r1)
+
+
 def _check_batched_rows(n, starts, sweeps, depth):
     game, cases = _restrictions(n, depth)
     canonical = canonical_odd_cycle_strategy(n)
@@ -417,18 +425,20 @@ def _check_batched_rows(n, starts, sweeps, depth):
     seeds = [101 + i for i in range(len(cases))]
     forms = _AngleForms(game, cases)
     rows = np.repeat(np.arange(len(cases)), starts)
-    batched = _ascend(forms, rows, forms.starts(seeds, starts, inits), sweeps, 1e-12)
+    batched = _ascend(forms, rows, forms.starts(seeds, starts, inits), sweeps)
+    values = _values(forms, rows, batched)
     for row, i in enumerate(rows.tolist()):
-        keep, strategy = cases[i], forms.strategy(i, [side[:, row] for side in batched[1]])
+        keep, strategy = cases[i], forms.strategy(i, [side[:, row] for side in batched])
         # the strategy tabulates exactly the coordinates that the kept pairs ask
         kept = [(qa, qb) for qa, qb, _ in game.pairs if keep is None or (qa, qb) in set(keep)]
         assert [set(strategy.alice_angles), set(strategy.bob_angles)] == [{x for q in qs for x in q} for qs in zip(*kept)]
         objective = angle_objective(game, strategy.alice_angles, strategy.bob_angles, keep)
-        assert abs(objective - batched[0][row]) < 1e-12
+        assert abs(objective - values[row]) < 1e-12
     # a restriction's rows do not see the other restrictions of the batch
     reverse = _AngleForms(game, cases[::-1])
-    values = _ascend(reverse, rows, reverse.starts(seeds[::-1], starts, inits), sweeps, 1e-12)[0]
-    assert values.reshape(-1, starts)[::-1].ravel().tolist() == batched[0].tolist()
+    back = _ascend(reverse, rows, reverse.starts(seeds[::-1], starts, inits), sweeps)
+    for side, want in zip(back, batched):
+        assert (side.reshape(len(side), -1, starts)[:, ::-1].reshape(side.shape) == want).all()
 
 
 def _block_sizes(forms):
@@ -460,7 +470,7 @@ def test_depth_one_sweep_maximizes_once_per_block(monkeypatch):
     real = quantum._maximize_profiles
     monkeypatch.setattr(quantum, "_maximize_profiles", lambda *a: calls.append(len(a[0])) or real(*a))
     sweeps, rows = 3, np.zeros(8, dtype=int)
-    _ascend(forms, rows, forms.starts([0], 8, None), sweeps, -np.inf)  # no row stops early
+    _ascend(forms, rows, forms.starts([0], 8, None), sweeps)
     assert calls == [15 * 8] * (2 * sweeps)
 
 
@@ -470,7 +480,8 @@ def test_ascents_leave_their_starts_unchanged():
     rows = np.repeat(np.arange(len(cases)), 4)
     start = forms.starts(list(range(len(cases))), 4, None)
     kept = [a.copy() for a in start]
-    _ascend(forms, rows, start, 3, 1e-12)
+    forms.A = None  # the ascent reads only the blocks' profiles, never the objective
+    _ascend(forms, rows, start, 3)
     assert all((a == b).all() for a, b in zip(start, kept))
 
 
@@ -497,7 +508,7 @@ def test_first_best_start_wins(monkeypatch):
     tables = (canonical.alice_angles, canonical.bob_angles)
     plus, minus = tables, tuple({q: -a for q, a in t.items()} for t in tables)
     zero = tuple(dict.fromkeys(t, 0.0) for t in tables)
-    monkeypatch.setattr(quantum, "_ascend", lambda forms, rows, angles, *a: (None, angles))
+    monkeypatch.setattr(quantum, "_ascend", lambda forms, rows, angles, sweeps: angles)
     picked = optimize_restrictions(game, [None, None], [5, 6], starts=4, inits=[zero, zero, minus, plus])
     flipped = optimize_restrictions(game, [None], [5], starts=4, inits=[zero, plus, minus, zero])[0]
     low = win_probability(game, QubitStrategy(bell_phase_state(), *zero))
@@ -642,7 +653,7 @@ def test_polish_never_ends_below_the_plain_ascent(monkeypatch):
     for (game, restrictions, seeds), kwargs, results in calls:
         starts, forms = kwargs["starts"], _AngleForms(game, restrictions)
         rows = np.repeat(np.arange(len(seeds)), starts)
-        plain = _ascend(forms, rows, forms.starts(seeds, starts, kwargs["inits"]), kwargs["sweeps"], 1e-12)[0]
+        plain = _values(forms, rows, _ascend(forms, rows, forms.starts(seeds, starts, kwargs["inits"]), kwargs["sweeps"]))
         assert (np.array([r["value"] for r in results]) >= plain.reshape(-1, starts).max(axis=1) - 1e-12).all()
 
 
@@ -667,7 +678,7 @@ def test_no_row_runs_more_than_sweeps_coordinate_sweeps(monkeypatch, sweeps):
     game, cases = _restrictions(5)
     budgets = []
     real = quantum._ascend
-    monkeypatch.setattr(quantum, "_ascend", lambda f, r, a, s, t: budgets.append(s) or real(f, r, a, s, t))
+    monkeypatch.setattr(quantum, "_ascend", lambda f, r, a, s: budgets.append(s) or real(f, r, a, s))
     optimize_restrictions(game, cases, list(range(len(cases))), starts=4, sweeps=sweeps)
     # each call of the ascent caps the sweeps of every row it is given
     assert budgets[0] == min(sweeps, quantum.POLISH_AFTER) and sum(budgets) <= sweeps

@@ -440,16 +440,28 @@ def test_graph_validation():
     ],
 )
 def test_graph_validation_rejects_bad_edge(container, bad, message):
-    # a valid edge alongside: the frozenset subset test must fail as a whole
+    # a valid edge alongside: every container is checked edge by edge
     with pytest.raises(TorusError, match=message):
         TorusGraph(3, 2, container([((1, 2), 0), bad]))
 
 
 @pytest.mark.parametrize("bad, message", [(((0, 0), True), "invalid axis"), (((False, 0), 0), "invalid vertex")])
 def test_graph_validation_rejects_bool_coordinates_and_axes(bad, message):
-    # equal to the int edge, so only the per-edge path of a list sees them
-    with pytest.raises(TorusError, match=message):
-        TorusGraph(3, 2, [bad])
+    # equal to the int edge, so only a per-edge check sees them, in a
+    # frozenset as in a list
+    for removed in ([bad], frozenset({bad})):
+        with pytest.raises(TorusError, match=message):
+            TorusGraph(3, 2, removed)
+    with pytest.raises(TorusError):
+        TorusGraph(3, 2, frozenset({((0.0, 0), 0), ((1, 1), True)}))
+
+
+def test_graph_from_edge_ids_is_the_checked_graph():
+    edges = torus_edges(5, 2)
+    ids = [0, 7, 49, 12]
+    assert TorusGraph._from_ids(5, 2, ids) == TorusGraph(5, 2, frozenset(edges[i] for i in ids))
+    with pytest.raises(TorusError, match="side length"):
+        TorusGraph._from_ids(1, 2, [])
 
 
 @pytest.mark.parametrize("n, d", [(3.7, 2), (3.0, 2), (3, 2.0), (3, True), (True, 2)])
