@@ -316,6 +316,24 @@ def test_chunked_laws_stay_in_numpys_floyd_regime():
     assert experiments.SAMPLE_CHUNK_CELLS < 10_001 * 201
 
 
+@pytest.mark.parametrize("size, floyd", [(201, True), (202, False)])
+def test_sampler_numpy_regime_edge(size, floyd, monkeypatch):
+    # at N = 2 * 71^2 = 10,082 edges numpy's choice is Floyd's algorithm
+    # only up to N // 50 = 201 edges: past it the chunks' draws leave the
+    # per-attempt stream, which is why the cell bound stays below both
+    # sizes (raised here so that both take the chunks)
+    monkeypatch.setattr(experiments, "SAMPLE_CHUNK_CELLS", 1 << 21)
+    monkeypatch.setattr(experiments, "MAX_SAMPLE_ATTEMPTS", 11)
+    sizes = _spy_chunks(monkeypatch)
+    law = {"kind": "uniform-size", "size": size}
+    if floyd:
+        _assert_sampler_matches_reference(71, 2, law, 0)
+    else:
+        with pytest.raises(AssertionError):
+            _assert_sampler_matches_reference(71, 2, law, 0)
+    assert sizes == [size] * 3
+
+
 def test_sampled_graphs_skip_the_per_edge_checks(monkeypatch):
     # the sampler builds its graph from edge ids: only empty removals
     # reach TorusGraph's per-edge checks
