@@ -24,6 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .games import (
+    BudgetExceeded,
     GameError,
     StrategyError,
     classical_value_exact,
@@ -52,7 +53,6 @@ from .regions import (
 )
 from .serialize import digest, dumps
 from .torus import (
-    BudgetExceeded,
     TorusError,
     TorusGraph,
     min_blocker,
@@ -252,7 +252,7 @@ def _cmd_blocker(args) -> dict:
             }
     elif args.action in ("min", "min-heuristic"):
         method = "exact" if args.action == "min" else "heuristic"
-        res = min_blocker(g, args.mode, method=method, seed=args.seed)
+        res = min_blocker(g, args.mode, method=method)
         out["size"] = res["size"]
         out["edges"] = sorted([list(v), a] for v, a in res["edges"])
         out["method"] = res["method"]
@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", default=None, help="torus graph JSON file")
     p.add_argument("--removed", choices=("none", "transverse"), default="transverse")
 
-    p = sub.add_parser("blocker", help="verify or search blockers")
+    p = sub.add_parser("blocker", help="verify a blocker or give the minimum one")
     common(p)
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--d", type=int, default=2)

@@ -33,6 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .games import (
+    BudgetExceeded,
     GameSpec,
     classical_value_exact,
     classical_value_search,
@@ -46,7 +47,6 @@ from .quantum import (
     optimize_restrictions,
 )
 from .torus import (
-    BudgetExceeded,
     RegionSet,
     TorusGraph,
     giant_detect,
@@ -737,10 +737,11 @@ def foam_probes(
     """Empirical satisfaction frequencies for the five foam probes at the
     stated quantifiers (n = 2, d in {2, 3}) plus the three minimizing-pair
     indicators.  The surface-area infimum is the minimum all-nontrivial
-    blocker of T_n^d; the L-infinity and Rademacher measures of that
-    blocker coincide with its cardinality for unit edge steps; the channel
-    variant draws a random unit matrix per basis pair and takes the trace
-    norm under the identity channel."""
+    blocker of T_n^d, the transverse cut of d * 2^(d-1) edges at n = 2;
+    the L-infinity and Rademacher measures of that blocker coincide with
+    its cardinality for unit edge steps; the channel variant draws a random
+    unit matrix per basis pair and takes the trace norm under the identity
+    channel."""
     _check_foam_probes(n, d, samples, lesssim_c)
     rng = np.random.default_rng(seed)
     blocker = min_blocker(TorusGraph(n, d))

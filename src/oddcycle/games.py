@@ -26,7 +26,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .torus import BudgetExceeded
 
 DEFAULT_ALICE_TABLE_BUDGET = 1 << 26
 DEFAULT_FULL_PAIR_BUDGET = 1 << 26
@@ -39,6 +38,10 @@ class GameError(ValueError):
 
 class StrategyError(KeyError):
     pass
+
+
+class BudgetExceeded(RuntimeError):
+    """Raised when an exact computation would exceed its configured budget."""
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""Torus grid graphs: winding numbers, blocker verification and search,
-tubes/sections/cubes, geodesics, and marked-component statistics.
+"""Torus grid graphs: winding numbers, blocker verification, the minimum
+blocker, tubes/sections/cubes, geodesics, and marked-component statistics.
 
 Vertices are integer tuples in [0, n)^d.  An edge is identified by
 ``(vertex, axis)`` and connects ``vertex`` to ``vertex + e_axis (mod n)``.
@@ -9,8 +9,11 @@ well defined.
 
 The continuous foam surface-area problem enters only through its discrete
 surrogate: the minimum cardinality of an edge set blocking the chosen
-cycle class, normalized against n^(d-1) by callers.  Hexagonal-tiling
-geometry is documentation only; nothing here computes with it.
+cycle class, normalized against n^(d-1) by callers.  That minimum is
+d * n^(d-1), attained by the transverse cut (0 in odd-only mode at even n),
+since the axis loops partition the edges and each is a nontrivial cycle.
+Hexagonal-tiling geometry is documentation only; nothing here computes
+with it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, product
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -31,10 +34,6 @@ Edge = tuple  # (vertex, axis)
 
 class TorusError(ValueError):
     pass
-
-
-class BudgetExceeded(RuntimeError):
-    """Raised when an exact computation would exceed its configured budget."""
 
 
 def wrapped_diff(a: int, b: int, n: int) -> int:
@@ -241,20 +240,17 @@ def winding_and_parity(g: TorusGraph, path: Sequence[Vertex]) -> dict:
 
 def _component_labelings(g: TorusGraph):
     """BFS every component, assigning Z^d lift labels.  Yields, per
-    component, the label map, parent pointers, BFS depths and the list of
-    non-tree edges with their fundamental-cycle windings."""
-    labels = {}
+    component, the label map, parent pointers and the list of non-tree
+    edges with their fundamental-cycle windings."""
     seen = set()
     for root in g.vertices():
         if root in seen:
             continue
         parents = {root: None}
-        depth = {root: 0}
-        labels[root] = tuple([0] * g.d)
         seen.add(root)
         fundamentals = []
         queue = deque([root])
-        comp_labels = {root: labels[root]}
+        comp_labels = {root: tuple([0] * g.d)}
         while queue:
             v = queue.popleft()
             for u, axis, sign, edge in g.neighbors(v):
@@ -264,14 +260,13 @@ def _component_labelings(g: TorusGraph):
                 if u not in comp_labels:
                     comp_labels[u] = lift
                     parents[u] = (v, axis, sign)
-                    depth[u] = depth[v] + 1
                     seen.add(u)
                     queue.append(u)
                 else:
                     winding = tuple(a - b for a, b in zip(lift, comp_labels[u]))
                     if any(winding):
                         fundamentals.append((v, u, axis, sign, winding))
-        yield comp_labels, parents, depth, fundamentals
+        yield comp_labels, parents, fundamentals
 
 
 def _tree_path(parents, v):
@@ -314,7 +309,7 @@ def verify_blocker(g: TorusGraph, mode: str = "all-nontrivial") -> dict:
     if mode not in ("all-nontrivial", "odd-only"):
         raise TorusError(f"unknown mode {mode!r}")
     labeling = {}
-    for comp_labels, parents, _, fundamentals in _component_labelings(g):
+    for comp_labels, parents, fundamentals in _component_labelings(g):
         for v, u, axis, sign, winding in fundamentals:
             bad = any(winding) if mode == "all-nontrivial" else any(
                 w % 2 == 1 for w in winding
@@ -452,133 +447,35 @@ def is_blocker(n: int, d: int, removed, mode: str = "all-nontrivial") -> bool:
     return True
 
 
-def _shortest_bad_cycle(g: TorusGraph, mode: str) -> Optional[CyclePath]:
-    """A short surviving bad cycle, or None if the graph is blocked.
-    Scans every component's fundamental cycles and keeps the shortest."""
-    best = None
-    for _, parents, depth, fundamentals in _component_labelings(g):
-        for v, u, axis, sign, winding in fundamentals:
-            bad = any(winding) if mode == "all-nontrivial" else any(
-                wd % 2 == 1 for wd in winding
-            )
-            if not bad:
-                continue
-            length = depth[v] + depth[u] + 1
-            if best is None or length < best[0]:
-                best = (length, (parents, v, u, axis, sign, winding))
-    if best is None:
-        return None
-    parents, v, u, axis, sign, winding = best[1]
-    return _witness_cycle(g, parents, v, u, axis, sign, winding)
-
-
-def _axis_loop_lower_bound(g: TorusGraph, removed: set, mode: str) -> int:
-    """Count axis loops untouched by the removal set.  The n^(d-1) loops
-    along one axis are pairwise edge-disjoint and disjoint across axes, and
-    each is nontrivial (odd iff n is odd), so every blocker needs a private
-    edge per untouched loop."""
-    if mode == "odd-only" and g.n % 2 == 0:
-        return 0
-    loops = _edge_loops(g.n, g.d)
-    return g.d * g.n ** (g.d - 1) - len({loops[edge_id(e, g.n)] for e in removed})
-
-
 def min_blocker(
     g0: TorusGraph,
     mode: str = "all-nontrivial",
     method: str = "exact",
-    budget: int = 2_000_000,
     seed: int = 0,
 ) -> dict:
-    """Minimum edge set blocking the requested cycle class.
+    """Minimum edge set blocking the requested cycle class on the empty
+    n^d torus, in closed form.
 
-    Exact mode runs branch-and-bound over removal sets, branching on the
-    edges of a short surviving bad cycle and pruning with the disjoint
-    axis-loop bound; default budget confines it to n <= 4, d == 2 scale.
-    Heuristic mode greedily thins the transverse-cut construction and
-    returns a verified blocker (upper bound only).
+    The d * n^(d-1) axis loops partition the edges, and each is itself a
+    nontrivial cycle (odd iff n is odd), so every blocker holds an edge of
+    every loop; the transverse cut holds exactly one and is a minimum.  In
+    odd-only mode at even n no cycle is odd and the empty set blocks.  The
+    answer is checked once by ``verify_blocker``, which also rejects an
+    unknown mode.  ``method`` sets only the record's label: "exact" reports
+    ``nodes`` = 1, "heuristic" marks the size an upper bound; ``seed`` is
+    unused and kept so that existing calls still work.
     """
     if g0.removed:
         raise TorusError("min_blocker expects an empty-removal graph")
-    if method == "exact":
-        # Branching factor ~ witness length ~ n, depth ~ blocker size
-        # d * n^(d-1); the default budget admits n <= 4 at d = 2.
-        estimated = g0.n ** (g0.d * g0.n ** (g0.d - 1))
-        if estimated > budget:
-            raise BudgetExceeded(
-                f"exact min_blocker estimate of {estimated} nodes exceeds the node budget of {budget}; "
-                "use method='heuristic'"
-            )
-        return _min_blocker_exact(g0, mode, budget)
-    if method == "heuristic":
-        return _min_blocker_heuristic(g0, mode, seed)
-    raise TorusError(f"unknown method {method!r}")
-
-
-def _min_blocker_exact(g0: TorusGraph, mode: str, budget: int) -> dict:
-    start = transverse_cut_blocker(g0.n, g0.d)
-    best = {"size": len(start), "edges": set(start)}
-    if is_blocker(g0.n, g0.d, (), mode):
-        return {"size": 0, "edges": set(), "method": "exact", "nodes": 1}
-    nodes = 0
-
-    def recurse(removed: set):
-        nonlocal nodes, best
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceeded(f"branch-and-bound reached node {nodes}, over the node budget of {budget}")
-        lower = len(removed) + _axis_loop_lower_bound(g0, removed, mode)
-        if lower >= best["size"]:
-            return
-        g = TorusGraph(g0.n, g0.d, frozenset(removed))
-        witness = _shortest_bad_cycle(g, mode)
-        if witness is None:
-            if len(removed) < best["size"]:
-                best = {"size": len(removed), "edges": set(removed)}
-            return
-        edges = []
-        seen = set()
-        for v, axis, sign in witness.steps:
-            e = g.edge_of_step(v, axis, sign)
-            if e not in seen:
-                seen.add(e)
-                edges.append(e)
-        for e in sorted(edges):
-            removed.add(e)
-            recurse(removed)
-            removed.remove(e)
-
-    recurse(set())
-    return {
-        "size": best["size"],
-        "edges": set(best["edges"]),
-        "method": "exact",
-        "nodes": nodes,
-    }
-
-
-def _min_blocker_heuristic(g0: TorusGraph, mode: str, seed: int) -> dict:
-    import random
-
-    rng = random.Random(seed)
+    if method not in ("exact", "heuristic"):
+        raise TorusError(f"unknown method {method!r}")
     n, d = g0.n, g0.d
-    kept = {edge_id(e, n) for e in transverse_cut_blocker(n, d)}
-    order = sorted(kept)  # id order is edge order: the shuffle is unchanged
-    rng.shuffle(order)
-    for e in order:
-        kept.remove(e)
-        if not is_blocker(n, d, kept, mode):
-            kept.add(e)
-    g = TorusGraph._from_ids(n, d, kept)
-    # independent cross-check of the kernel by the labelling BFS
-    if not verify_blocker(g, mode)["blocked"]:
-        raise TorusError(f"heuristic {mode} blocker of size {len(g.removed)} does not block")
-    return {
-        "size": len(g.removed),
-        "edges": set(g.removed),
-        "method": "heuristic",
-        "upper_bound_only": True,
-    }
+    edges = frozenset() if mode == "odd-only" and n % 2 == 0 else transverse_cut_blocker(n, d)
+    if not verify_blocker(TorusGraph(n, d, edges), mode)["blocked"]:
+        raise TorusError(f"{mode} blocker of size {len(edges)} does not block")
+    record = {"size": len(edges), "edges": set(edges), "method": method}
+    record.update({"nodes": 1} if method == "exact" else {"upper_bound_only": True})
+    return record
 
 
 # -- geodesics ----------------------------------------------------------------

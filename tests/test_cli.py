@@ -200,6 +200,18 @@ def test_blocker_min_report_bytes_on_the_empty_graph(action, pin, tmp_path, caps
     assert hashlib.sha256((tmp_path / "blocker-report.json").read_bytes()).hexdigest() == pin
 
 
+@pytest.mark.parametrize(
+    "args, size",
+    [(["--n", "5"], 10), (["--n", "3", "--d", "3"], 27), (["--n", "6", "--mode", "odd-only"], 0)],
+)
+def test_blocker_min_answers_large_tori(args, size, tmp_path, capsys):
+    # the minimum is the transverse cut (empty in odd-only mode at even n),
+    # so no torus size is refused
+    assert main(["blocker", *args, "--action", "min", "--out", str(tmp_path)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["size"], len(data["edges"]), data["method"]) == (size, size, "exact")
+
+
 def test_blocker_graph_file_round_trip(tmp_path, capsys):
     from oddcycle.torus import TorusGraph
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oddcycle import games
 from oddcycle.games import (
+    BudgetExceeded,
     DeterministicStrategy,
     GameError,
     GameSpec,
@@ -28,7 +29,6 @@ from oddcycle.games import (
     wedge_witness,
 )
 from oddcycle.regions import value_via_regions
-from oddcycle.torus import BudgetExceeded
 
 from oracles import best_response_won, brute_force_value, exhaustive_witness, local_search_reference
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from oddcycle import torus
 from oddcycle.torus import (
-    BudgetExceeded,
     TorusError,
     TorusGraph,
     edge_id,
@@ -184,6 +183,12 @@ def _no_union_find(*args):
     raise AssertionError("the union-find ran")
 
 
+def _untouched_loops(n, d, removed):
+    """Axis loops of the n^d torus that hold no removed edge."""
+    loops = torus._edge_loops(n, d)
+    return d * n ** (d - 1) - len({loops[edge_id(e, n)] for e in removed})
+
+
 @pytest.mark.parametrize(
     "n, d, mode, spared",
     [
@@ -200,7 +205,7 @@ def test_is_blocker_rejects_untouched_axis_loop_early(monkeypatch, n, d, mode, s
     assert spared in transverse_cut_blocker(n, d)
     cut = transverse_cut_blocker(n, d) - {spared}
     g = TorusGraph(n, d, cut)
-    assert torus._axis_loop_lower_bound(g, cut, mode) == 1
+    assert _untouched_loops(n, d, cut) == 1
     assert not verify_blocker(g, mode)["blocked"]
     monkeypatch.setattr(torus, "_edge_ends", _no_union_find)
     assert not is_blocker(n, d, [edge_id(e, n) for e in cut], mode)
@@ -214,8 +219,8 @@ def test_is_blocker_runs_union_find_when_every_loop_is_hit(monkeypatch):
     calls = []
     edge_ends = torus._edge_ends
     monkeypatch.setattr(torus, "_edge_ends", lambda n, d: calls.append(n) or edge_ends(n, d))
+    assert _untouched_loops(3, 2, removed) == 0
     for mode in ("all-nontrivial", "odd-only"):
-        assert torus._axis_loop_lower_bound(g, removed, mode) == 0
         assert not verify_blocker(g, mode)["blocked"]
         assert not is_blocker(3, 2, [edge_id(e, 3) for e in removed], mode)
     assert len(calls) == 2
@@ -258,30 +263,37 @@ def test_min_blocker_result_verifies():
     assert verify_blocker(g, "all-nontrivial")["blocked"]
 
 
-def test_min_blocker_branch_and_bound_searches_without_loop_bound(monkeypatch):
-    # disable the closed-form lower bound so the recursion must do the work
-    monkeypatch.setattr(torus, "_axis_loop_lower_bound", lambda g, removed, mode: 0)
-    rec = min_blocker(TorusGraph(3, 2))
-    assert rec["size"] == 6
-    assert rec["nodes"] > 1
-    # the branching follows the shortest bad cycle; pinned node counts and
-    # edges catch a change in which cycle is taken as shortest
-    cut3 = [((0, 2), 1), ((1, 2), 1), ((2, 0), 0), ((2, 1), 0), ((2, 2), 0), ((2, 2), 1)]
-    for mode in ("all-nontrivial", "odd-only"):
-        rec = min_blocker(TorusGraph(3, 2), mode)
-        assert (rec["size"], sorted(rec["edges"]), rec["nodes"]) == (6, cut3, 6010)
-    rec = min_blocker(TorusGraph(2, 2))
-    cut2 = [((0, 1), 1), ((1, 0), 0), ((1, 1), 0), ((1, 1), 1)]
-    assert (rec["size"], sorted(rec["edges"]), rec["nodes"]) == (4, cut2, 63)
+@pytest.mark.parametrize(
+    "n, d, mode, size",
+    [(5, 2, "all-nontrivial", 10), (3, 3, "all-nontrivial", 27), (6, 2, "odd-only", 0)],
+)
+def test_min_blocker_answers_large_tori(n, d, mode, size):
+    # no size is refused: the minimum is the transverse cut, or the empty
+    # set in odd-only mode at even n, and the labelling BFS certifies it
+    rec = min_blocker(TorusGraph(n, d), mode)
+    assert (rec["size"], rec["method"], rec["nodes"]) == (size, "exact", 1)
+    assert verify_blocker(TorusGraph(n, d, frozenset(rec["edges"])), mode)["blocked"]
 
 
-def test_min_blocker_budget_refusal(monkeypatch):
-    with pytest.raises(BudgetExceeded, match="estimate of 9765625 nodes exceeds the node budget of 2000000"):
-        min_blocker(TorusGraph(5, 2))
-    # without the loop bound the n=3 search passes the estimate (729) but visits 6010 nodes
-    monkeypatch.setattr(torus, "_axis_loop_lower_bound", lambda g, removed, mode: 0)
-    with pytest.raises(BudgetExceeded, match="reached node 1001, over the node budget of 1000"):
-        min_blocker(TorusGraph(3, 2), budget=1000)
+def test_min_blocker_unknown_method_or_mode():
+    with pytest.raises(TorusError, match="unknown method 'bogus'"):
+        min_blocker(TorusGraph(3, 2), method="bogus")
+    with pytest.raises(TorusError, match="unknown mode 'even-only'"):
+        min_blocker(TorusGraph(3, 2), "even-only")
+
+
+@pytest.mark.parametrize("mode", ["all-nontrivial", "odd-only"])
+def test_min_blocker_no_smaller_set_blocks_by_enumeration(mode):
+    # independent of the loop argument: every edge set of T3^2 smaller than
+    # the minimum leaves some enumerated bad cycle whole (n = 2 is left out,
+    # since the oracle skips the 2-cycles of parallel edges)
+    cycles = enumerate_simple_cycles(3, 2, 6)
+    rec = min_blocker(TorusGraph(3, 2), mode)
+    assert blocked_by_enumeration(cycles, frozenset(rec["edges"]), mode)
+    edges = sorted(TorusGraph(3, 2).all_edges())
+    smaller = [frozenset(c) for k in range(rec["size"]) for c in combinations(edges, k)]
+    assert len(smaller) == 12_616
+    assert not any(blocked_by_enumeration(cycles, c, mode) for c in smaller)
 
 
 def test_min_blocker_heuristic_upper_bound():
