@@ -25,10 +25,9 @@ from .torus import (
     CyclePath,
     TorusGraph,
     TorusError,
-    edge_id,
     geodesic,
-    is_blocker,
     torus_linf,
+    verify_blocker,
     winding_and_parity,
     wrapped_diff,
 )
@@ -313,7 +312,7 @@ def grow_consistent_cycle(
         raise RegionError(f"max_points must be at least 0, got {max_points}")
     rng = np.random.default_rng(seed)
     if strict:
-        if not is_blocker(g.n, g.d, [edge_id(e, g.n) for e in g.removed], "odd-only"):
+        if not verify_blocker(g, "odd-only")["blocked"]:
             raise RegionError("strict mode requires a torical graph (odd cycles blocked)")
     n, d = g.n, g.d
     if center is None:

@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, product
+from itertools import product
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -235,94 +235,7 @@ def winding_and_parity(g: TorusGraph, path: Sequence[Vertex]) -> dict:
     }
 
 
-# -- blocker verification ---------------------------------------------------
-
-
-def _component_labelings(g: TorusGraph):
-    """BFS every component, assigning Z^d lift labels.  Yields, per
-    component, the label map, parent pointers and the list of non-tree
-    edges with their fundamental-cycle windings."""
-    seen = set()
-    for root in g.vertices():
-        if root in seen:
-            continue
-        parents = {root: None}
-        seen.add(root)
-        fundamentals = []
-        queue = deque([root])
-        comp_labels = {root: tuple([0] * g.d)}
-        while queue:
-            v = queue.popleft()
-            for u, axis, sign, edge in g.neighbors(v):
-                lift = list(comp_labels[v])
-                lift[axis] += sign
-                lift = tuple(lift)
-                if u not in comp_labels:
-                    comp_labels[u] = lift
-                    parents[u] = (v, axis, sign)
-                    seen.add(u)
-                    queue.append(u)
-                else:
-                    winding = tuple(a - b for a, b in zip(lift, comp_labels[u]))
-                    if any(winding):
-                        fundamentals.append((v, u, axis, sign, winding))
-        yield comp_labels, parents, fundamentals
-
-
-def _tree_path(parents, v):
-    """Steps from the component root down to v, as (vertex, axis, sign)."""
-    steps = []
-    while parents[v] is not None:
-        p, axis, sign = parents[v]
-        steps.append((p, axis, sign))
-        v = p
-    steps.reverse()
-    return steps
-
-
-def _witness_cycle(g, parents, v, u, axis, sign, winding) -> CyclePath:
-    """Closed walk: root -> v, cross the violating edge, u -> root."""
-    up = _tree_path(parents, v)
-    down = _tree_path(parents, u)
-    steps = list(up)
-    steps.append((v, axis, sign))
-    for p, ax, sg in reversed(down):
-        steps.append((g.step(p, ax, sg), ax, -sg))
-    vertices = []
-    if steps:
-        vertices.append(steps[0][0])
-        for p, ax, sg in steps:
-            vertices.append(g.step(p, ax, sg))
-    total = [0] * g.d
-    for _, ax, sg in steps:
-        total[ax] += sg
-    return CyclePath(vertices, steps, tuple(total))
-
-
-def verify_blocker(g: TorusGraph, mode: str = "all-nontrivial") -> dict:
-    """Decide whether the removed edge set blocks every topologically
-    nontrivial (or, in odd-only mode, every topologically odd) cycle.
-
-    Uses a consistent Z^d labeling per component; any fundamental cycle
-    with nonzero (resp. odd) winding yields a witness.
-    """
-    if mode not in ("all-nontrivial", "odd-only"):
-        raise TorusError(f"unknown mode {mode!r}")
-    labeling = {}
-    for comp_labels, parents, fundamentals in _component_labelings(g):
-        for v, u, axis, sign, winding in fundamentals:
-            bad = any(winding) if mode == "all-nontrivial" else any(
-                w % 2 == 1 for w in winding
-            )
-            if bad:
-                witness = _witness_cycle(g, parents, v, u, axis, sign, winding)
-                return {"blocked": False, "witness": witness, "labeling": None}
-        labeling.update(comp_labels)
-    # the consistent lift labeling is the positive certificate
-    return {"blocked": True, "witness": None, "labeling": labeling}
-
-
-# -- blocker decision on edge ids ----------------------------------------------
+# -- blocker decision ----------------------------------------------------------
 
 
 @lru_cache(maxsize=32)
@@ -343,23 +256,70 @@ def edge_id(edge: Edge, n: int) -> int:
 
 @lru_cache(maxsize=32)
 def _edge_ends(n: int, d: int) -> tuple:
-    """Per edge id: (tail rank, head rank, packed unit lift step), then
-    ``centre`` and ``low_bits``.  A lift vector w in Z^d is packed as
-    sum w_a 2^(width a), with 2^(width-1) above 2 n^d, so that every
-    winding the union-find forms (two forest paths of at most n^d - 1
-    steps plus the closing edge) unpacks uniquely.  Adding ``centre`` moves
-    each field into [0, 2^width) without carries; ``low_bits`` then reads
-    the parity of every component at once."""
+    """Per vertex rank: its edges in ``TorusGraph.neighbors`` order (axis
+    0..d-1, the + step before the - step), each as (edge id, rank of the
+    other end, packed lift step from this end); then ``centre`` and
+    ``low_bits``.  A lift vector w in Z^d is packed as sum w_a 2^(width a),
+    with 2^(width-1) above 2 n^d, so that every winding a BFS forms (two
+    lifts within n^d - 1 steps of the root plus the closing edge) unpacks
+    uniquely.  Adding ``centre`` moves each field into [0, 2^width)
+    without carries; ``low_bits`` then reads the parity of every component
+    at once."""
     width = (4 * n ** d).bit_length()
     ends = []
-    for tail in range(n ** d):
+    for v in range(n ** d):
+        incident = []
         for axis in range(d):
-            place = n ** (d - 1 - axis)
-            wraps = (tail // place) % n == n - 1
-            ends.append((tail, tail - (n - 1) * place if wraps else tail + place, 1 << (width * axis)))
+            place, step = n ** (d - 1 - axis), 1 << (width * axis)
+            x = (v // place) % n
+            up = v - (n - 1) * place if x == n - 1 else v + place
+            down = v + (n - 1) * place if x == 0 else v - place
+            incident += [(v * d + axis, up, step), (down * d + axis, down, -step)]
+        ends.append(tuple(incident))
     centre = sum(1 << (width * axis + width - 1) for axis in range(d))
     low_bits = sum(1 << (width * axis) for axis in range(d))
     return tuple(ends), centre, low_bits
+
+
+def _lift_search(n: int, d: int, removed, mode: str) -> tuple:
+    """Breadth-first Z^d lift labelling of the n^d torus without the edges
+    with the given ids (see ``torus_edges``): the one traversal behind
+    ``verify_blocker`` and ``is_blocker``.
+
+    Roots go in rank order, neighbours in ``TorusGraph.neighbors`` order.
+    Each vertex gets the packed lift of ``_edge_ends`` and the id of the
+    tree edge that reached it (-1 at a root).  A surviving edge from v to u
+    closes a cycle of winding lift(v) + step - lift(u), zero on tree edges;
+    these fundamental cycles generate every cycle of the residual graph, so
+    the removal blocks iff each such winding is zero (odd-only: even).
+    Returns (lift, tree, bad), lift and tree per vertex rank, with bad the
+    (vertex rank, edge id) of the first edge closing a bad cycle, or None;
+    the search stops there.
+    """
+    ends, centre, low_bits = _edge_ends(n, d)
+    mask = low_bits if mode == "odd-only" else -1
+    alive = bytearray(b"\x01") * (d * n ** d)
+    for e in removed:
+        alive[e] = 0
+    lift, tree = [None] * n ** d, [-1] * n ** d
+    for root in range(n ** d):
+        if lift[root] is not None:
+            continue
+        lift[root] = 0
+        queue = [root]
+        for v in queue:  # also visits what the loop appends
+            here = lift[v]
+            for e, u, step in ends[v]:
+                if not alive[e]:
+                    continue
+                if lift[u] is None:
+                    lift[u], tree[u] = here + step, e
+                    queue.append(u)
+                else:
+                    drift = here + step - lift[u]
+                    if drift and (drift + centre) & mask:
+                        return lift, tree, (v, e)
+    return lift, tree, None
 
 
 @lru_cache(maxsize=32)
@@ -387,8 +347,10 @@ def _loop_major_edges(n: int, d: int) -> np.ndarray:
 
 def touches_every_axis_loop(n: int, d: int, removed: np.ndarray) -> np.ndarray:
     """Per row of the (rows, edges) boolean edge-id mask ``removed``:
-    whether the removal holds an edge of every axis loop, the test that
-    ``is_blocker`` makes before its union-find, for many removals at once."""
+    whether the removal holds an edge of every axis loop, for many
+    removals at once.  A removal that misses a loop is no blocker: that
+    loop survives with winding e_axis, nontrivial for every n and odd at
+    odd n."""
     loops = removed[:, _loop_major_edges(n, d)].reshape(len(removed), d * n ** (d - 1), n)
     return loops.any(axis=2).all(axis=1)
 
@@ -396,55 +358,66 @@ def touches_every_axis_loop(n: int, d: int, removed: np.ndarray) -> np.ndarray:
 def is_blocker(n: int, d: int, removed, mode: str = "all-nontrivial") -> bool:
     """Whether removing the edges with the given ids (see ``torus_edges``)
     blocks every topologically nontrivial cycle of the n^d torus (odd-only:
-    every cycle of odd winding).  Decides as ``verify_blocker(g,
-    mode)["blocked"]`` does, without its witness or labelling.
-
-    One pass over the surviving edges with a union-find, linked by size,
-    whose links carry the Z^d lift offset of a vertex to its parent.  An
-    edge closing a cycle inside one tree exposes that cycle's winding; the
-    removal blocks iff every such winding is zero (odd-only: even), since
-    these fundamental cycles generate every cycle of the residual graph.
-
-    Before the union-find, a removal that leaves some axis loop untouched
-    is rejected: that loop survives with winding e_axis, nontrivial for
-    every n and odd whenever odd-only mode gets this far (odd n).
-    """
+    every cycle of odd winding).  Runs ``verify_blocker``'s search on edge
+    ids, without building its witness or labelling."""
     if mode not in ("all-nontrivial", "odd-only"):
         raise TorusError(f"unknown mode {mode!r}")
     if mode == "odd-only" and n % 2 == 0:
         # a closed walk moves each coordinate by a multiple of n: all even
         return True
-    removed = list(removed)
-    if len(set(map(_edge_loops(n, d).__getitem__, removed))) < d * n ** (d - 1):
-        return False
-    ends, centre, low_bits = _edge_ends(n, d)
-    mask = low_bits if mode == "odd-only" else -1
-    alive = bytearray(b"\x01") * len(ends)
-    for e in removed:
-        alive[e] = 0
-    parent = list(range(n ** d))
-    offset = [0] * n ** d  # packed lift(v) - lift(parent[v])
-    size = [1] * n ** d
-    for tail, head, step in compress(ends, alive):
-        rt, ot = tail, 0
-        while parent[rt] != rt:
-            ot += offset[rt]
-            rt = parent[rt]
-        rh, oh = head, 0
-        while parent[rh] != rh:
-            oh += offset[rh]
-            rh = parent[rh]
-        drift = ot + step - oh  # lift(rh) - lift(rt) implied by this edge
-        if rt == rh:
-            if drift and (drift + centre) & mask:
-                return False
-        elif size[rt] < size[rh]:
-            parent[rt], offset[rt] = rh, -drift
-            size[rh] += size[rt]
-        else:
-            parent[rh], offset[rh] = rt, drift
-            size[rt] += size[rh]
-    return True
+    return _lift_search(n, d, removed, mode)[2] is None
+
+
+def verify_blocker(g: TorusGraph, mode: str = "all-nontrivial") -> dict:
+    """Decide whether the removed edge set blocks every topologically
+    nontrivial (or, in odd-only mode, every topologically odd) cycle.
+
+    Uses ``_lift_search``'s consistent Z^d labelling per component, which
+    is the positive certificate; otherwise the first fundamental cycle
+    with nonzero (resp. odd) winding, closed through the BFS tree, is the
+    witness.
+    """
+    if mode not in ("all-nontrivial", "odd-only"):
+        raise TorusError(f"unknown mode {mode!r}")
+    n, d = g.n, g.d
+    lift, tree, bad = _lift_search(n, d, [edge_id(e, n) for e in g.removed], mode)
+    ends, centre, _ = _edge_ends(n, d)
+    vertices = list(g.vertices())
+    if bad is None:
+        width = centre.bit_length() // d
+        field, half = (1 << width) - 1, 1 << (width - 1)
+        labeling = {
+            v: tuple(((w + centre) >> (width * axis) & field) - half for axis in range(d))
+            for v, w in zip(vertices, lift)
+        }
+        return {"blocked": True, "witness": None, "labeling": labeling}
+
+    def cross(v, e):
+        """(vertex rank, axis, sign, other end) of the step along edge e
+        out of v; v is the edge's tail iff the step is +."""
+        axis = e % d
+        if e // d == v:
+            return v, axis, 1, ends[v][2 * axis][1]
+        return v, axis, -1, e // d
+
+    def climb(v):
+        """Steps from v up the BFS tree to its root."""
+        hops = []
+        while tree[v] >= 0:
+            hops.append(cross(v, tree[v]))
+            v = hops[-1][3]
+        return hops
+
+    # closed walk: root -> v down the tree, the violating edge, u -> root
+    v, e = bad
+    edge = cross(v, e)
+    hops = [(p, axis, -sign, c) for c, axis, sign, p in reversed(climb(v))] + [edge] + climb(edge[3])
+    steps = [(vertices[a], axis, sign) for a, axis, sign, _ in hops]
+    total = [0] * d
+    for _, axis, sign in steps:
+        total[axis] += sign
+    walk = [vertices[hops[0][0]]] + [vertices[b] for *_, b in hops]
+    return {"blocked": False, "witness": CyclePath(walk, steps, tuple(total)), "labeling": None}
 
 
 def min_blocker(

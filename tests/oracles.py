@@ -2,7 +2,8 @@
 
 Everything here is written from first principles and kept separate from
 the production code paths it checks: plain brute-force strategy search,
-DFS simple-cycle enumeration, subset enumeration for consistent regions,
+DFS simple-cycle enumeration, blocker decisions by linear algebra on the
+incidence matrix, subset enumeration for consistent regions,
 and the closed-form Born probability for equatorial measurements on the
 phase Bell state.
 """
@@ -193,6 +194,52 @@ def blocked_by_enumeration(cycles, removed, mode):
         if bad and not (edges & removed):
             return False
     return True
+
+
+def _gf2_rank(rows):
+    """Rank over GF(2) of a 0/1 matrix, by Gaussian elimination."""
+    import numpy as np
+
+    m = np.array(rows, dtype=bool)
+    rank = 0
+    for c in range(m.shape[1]):
+        pivots = rank + np.flatnonzero(m[rank:, c])
+        if len(pivots) == 0:
+            continue
+        m[[rank, pivots[0]]] = m[[pivots[0], rank]]
+        hit = np.flatnonzero(m[:, c])
+        m[hit[hit != rank]] ^= m[rank]
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
+
+
+def blocked_by_potentials(n, d, removed_ids, mode):
+    """A removal blocks iff every axis a has a potential on the vertices
+    whose difference across each surviving edge is that edge's step along
+    a, that is, iff each axis-displacement row lies in the row span of the
+    surviving (vertex x edge) incidence matrix: over Q for all nontrivial
+    cycles, over GF(2) for the odd ones.  Edge (v, axis) has id
+    rank(v) * d + axis, with vertices ranked in lexicographic order."""
+    import numpy as np
+
+    vertices = list(product(range(n), repeat=d))
+    rank = {v: i for i, v in enumerate(vertices)}
+    gone = set(removed_ids)
+    kept = [(v, axis) for v in vertices for axis in range(d) if rank[v] * d + axis not in gone]
+    incidence = np.zeros((len(vertices), len(kept)))
+    displacement = np.zeros((d, len(kept)))
+    for j, (v, axis) in enumerate(kept):
+        u = list(v)
+        u[axis] = (u[axis] + 1) % n
+        incidence[rank[v], j] -= 1
+        incidence[rank[tuple(u)], j] += 1
+        displacement[axis, j] = 1
+    if mode == "odd-only":
+        span = incidence % 2
+        return _gf2_rank(np.vstack([span, displacement])) == _gf2_rank(span)
+    return np.linalg.matrix_rank(np.vstack([incidence, displacement])) == np.linalg.matrix_rank(incidence)
 
 
 def oracle_max_consistent_subsets(s_a, y, n, d):

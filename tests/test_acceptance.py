@@ -218,7 +218,7 @@ def test_criterion_7_blocker_machinery():
     assert elapsed < 300.0
     announce(
         "7",
-        "labeling == union-find decision == enumeration on all removal sets of size <= 3 "
+        "verify_blocker == is_blocker == enumeration on all removal sets of size <= 3 "
         "over T3/T4, both modes; min blocker = 2n",
         elapsed,
     )

@@ -201,8 +201,30 @@ def test_blocker_min_report_bytes_on_the_empty_graph(action, pin, tmp_path, caps
 
 
 @pytest.mark.parametrize(
+    "args, pin",
+    [
+        ("--n 3 --removed transverse", "be58f658d9e63257cc54f3d3d77d5d0457dedfe2487ef8cfcb8a050babcfd507"),
+        ("--n 3", "7cf61867f6f60a39073e42eb86cfeba65f0d45d5f54525b23ab2571a86f86e67"),
+        ("--n 4 --mode odd-only", "07551f599b800a54d26ebd0e1a7b199e4e9b483d4b6c3ffe6a1c913d17db8686"),
+        ("--n 3 --d 3 --mode odd-only", "891d8c9709800632b8dfda764189a89e4b8cb63d8b6e5999050774617f9bafbc"),
+        (
+            "--n 5 --removed transverse --mode odd-only",
+            "c61985fdf10ded976f999e6c90627a1b44ab40d62d16da732139491bac97f3d9",
+        ),
+        ("--n 2 --d 3", "125cf1a3760150f195bfe5bf2ef54cf77a3a5ca046c8132cf1508849cf08fe8b"),
+    ],
+)
+def test_blocker_verify_report_bytes(args, pin, tmp_path, capsys):
+    # labellings (blocked) and witness cycles (not blocked), including the
+    # parallel edges of n = 2 and an even torus in odd-only mode
+    assert main(["blocker", "--action", "verify", *args.split(), "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == pin
+    assert hashlib.sha256((tmp_path / "blocker-report.json").read_bytes()).hexdigest() == pin
+
+
+@pytest.mark.parametrize(
     "args, size",
-    [(["--n", "5"], 10), (["--n", "3", "--d", "3"], 27), (["--n", "6", "--mode", "odd-only"], 0)],
+    [(["--n", "5"], 10),(["--n", "3", "--d", "3"], 27), (["--n", "6", "--mode", "odd-only"], 0)],
 )
 def test_blocker_min_answers_large_tori(args, size, tmp_path, capsys):
     # the minimum is the transverse cut (empty in odd-only mode at even n),

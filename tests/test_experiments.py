@@ -217,9 +217,8 @@ def _seed0_draws(n, law):
 
 
 def test_sample_consecutive_draws_pinned():
-    # recorded before the axis-loop rejection in is_blocker: the rng calls,
-    # their order across rejected and accepted draws, and every accept
-    # decision must not move
+    # the rng calls, their order across rejected and accepted draws, and
+    # every accept decision must not move with the blocker test
     tiny = list(_seed0_draws(3, {"kind": "uniform-size", "size": 7}))
     assert tiny == [
         (5, [5, 6, 11, 12, 14, 16, 17]),

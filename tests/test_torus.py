@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,12 +20,13 @@ from oddcycle.torus import (
     min_blocker,
     region_stats,
     torus_edges,
+    touches_every_axis_loop,
     transverse_cut_blocker,
     verify_blocker,
     winding_and_parity,
 )
 
-from oracles import blocked_by_enumeration, enumerate_simple_cycles
+from oracles import blocked_by_enumeration, blocked_by_potentials, enumerate_simple_cycles
 
 
 def row_loop(n, row=0):
@@ -135,13 +137,33 @@ def test_edge_ids_follow_sorted_edge_order():
     density=st.floats(0, 1),
     rnd=st.randoms(use_true_random=False),
 )
-def test_is_blocker_matches_verify_blocker(n, d, density, rnd):
+def test_blockers_match_the_potential_oracle(n, d, density, rnd):
     # n = 2 has parallel edges; d = 1 is a plain cycle
     edges = torus_edges(n, d)
     removed = [e for e in range(len(edges)) if rnd.random() < density]
     g = TorusGraph(n, d, frozenset(edges[e] for e in removed))
     for mode in ("all-nontrivial", "odd-only"):
-        assert is_blocker(n, d, removed, mode) == verify_blocker(g, mode)["blocked"]
+        res = verify_blocker(g, mode)
+        assert is_blocker(n, d, removed, mode) == res["blocked"] == blocked_by_potentials(n, d, removed, mode)
+        if res["blocked"]:
+            # a lift certificate: each surviving edge moves the label by
+            # its unit step (odd-only: mod 2)
+            labels = res["labeling"]
+            assert set(labels) == set(g.vertices())
+            for v, axis in set(edges) - g.removed:
+                u = g.step(v, axis, 1)
+                moved = [b - a - (c == axis) for c, (a, b) in enumerate(zip(labels[v], labels[u]))]
+                assert all(m % 2 == 0 if mode == "odd-only" else m == 0 for m in moved)
+            continue
+        cycle = res["witness"]
+        assert cycle.odd if mode == "odd-only" else cycle.nontrivial
+        if n >= 3:
+            assert winding_and_parity(g, cycle.vertices)["winding"] == cycle.winding
+        else:  # the vertex sequence does not say which parallel edge a step takes
+            assert cycle.vertices[0] == cycle.vertices[-1]
+            for (v, axis, sign), u in zip(cycle.steps, cycle.vertices[1:], strict=True):
+                assert g.step(v, axis, sign) == u and g.edge_of_step(v, axis, sign) not in g.removed
+            assert cycle.winding == tuple(sum(s for _, a, s in cycle.steps if a == c) for c in range(d))
 
 
 X, Y, Z = (0, 1), (1, 1), (2, 1)
@@ -179,10 +201,6 @@ def test_is_blocker_unknown_mode():
         is_blocker(3, 2, (), "even-only")
 
 
-def _no_union_find(*args):
-    raise AssertionError("the union-find ran")
-
-
 def _untouched_loops(n, d, removed):
     """Axis loops of the n^d torus that hold no removed edge."""
     loops = torus._edge_loops(n, d)
@@ -199,31 +217,36 @@ def _untouched_loops(n, d, removed):
         (5, 3, "odd-only", ((0, 2, 4), 2)),
     ],
 )
-def test_is_blocker_rejects_untouched_axis_loop_early(monkeypatch, n, d, mode, spared):
+def test_is_blocker_rejects_untouched_axis_loop_early(n, d, mode, spared):
     # the transverse cut hits every axis loop once; sparing one cut edge
-    # leaves exactly that edge's loop untouched
+    # leaves exactly that edge's loop untouched, which the sampler's
+    # batched loop test rejects before is_blocker and the lift search
+    # finds as a surviving nontrivial (at odd n, odd) cycle
     assert spared in transverse_cut_blocker(n, d)
     cut = transverse_cut_blocker(n, d) - {spared}
-    g = TorusGraph(n, d, cut)
+    ids = [edge_id(e, n) for e in cut]
+    mask = np.zeros((1, d * n ** d), dtype=bool)
+    mask[0, ids] = True
     assert _untouched_loops(n, d, cut) == 1
-    assert not verify_blocker(g, mode)["blocked"]
-    monkeypatch.setattr(torus, "_edge_ends", _no_union_find)
-    assert not is_blocker(n, d, [edge_id(e, n) for e in cut], mode)
+    assert not touches_every_axis_loop(n, d, mask)[0]
+    assert not verify_blocker(TorusGraph(n, d, cut), mode)["blocked"]
+    assert not is_blocker(n, d, ids, mode)
 
 
-def test_is_blocker_runs_union_find_when_every_loop_is_hit(monkeypatch):
+def test_is_blocker_runs_the_lift_search_when_every_loop_is_hit(monkeypatch):
     # one edge off each axis loop of T3^2, staggered so that a staircase
     # cycle of winding (1, 1) survives
     removed = {((k, k), axis) for k in range(3) for axis in range(2)}
     g = TorusGraph(3, 2, frozenset(removed))
-    calls = []
-    edge_ends = torus._edge_ends
-    monkeypatch.setattr(torus, "_edge_ends", lambda n, d: calls.append(n) or edge_ends(n, d))
     assert _untouched_loops(3, 2, removed) == 0
     for mode in ("all-nontrivial", "odd-only"):
         assert not verify_blocker(g, mode)["blocked"]
+    calls = []
+    search = torus._lift_search
+    monkeypatch.setattr(torus, "_lift_search", lambda *args: calls.append(args) or search(*args))
+    for mode in ("all-nontrivial", "odd-only"):
         assert not is_blocker(3, 2, [edge_id(e, 3) for e in removed], mode)
-    assert len(calls) == 2
+    assert [args[3] for args in calls] == ["all-nontrivial", "odd-only"]
 
 
 @pytest.mark.parametrize("n, d", [(3, 2), (4, 2), (2, 3)])
