@@ -129,7 +129,7 @@ def test_qvalue_report(tmp_path, capsys):
     # the report bytes, pinned where the CLI still rebuilt the strategy
     pins = {
         "3": "d22ffb5423daf21e19d7c9ba13e42da4cf33fde5bc3c0a8909fad6c371e0df5c",
-        "7": "6f5277a9f37d77804bd1e5301e8c8643843a14fe886f04b1a7f82c2437284cf3",
+        "7": "f4534f4150e46add49b03d4915b370a7f2df79a1cbe7032409a2a6f0c0d577f4",
     }
     for n, pin in pins.items():
         assert main(["qvalue", "--n", n, "--out", str(tmp_path)]) == 0

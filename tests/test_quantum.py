@@ -533,16 +533,21 @@ def test_bench_config_runs_one_round_per_n(monkeypatch):
     calls = []
     ascend, polish = quantum._ascend, quantum._polish
 
-    def polished(*args):
-        out = polish(*args)
-        calls.append(("_polish", int((~out[2]).sum())))
-        return out
+    def polished(forms, rows, angles):
+        values, angles, settled = polish(forms, rows, angles)
+        best = np.full(rows.max() + 1, -np.inf)
+        np.maximum.at(best, rows, values)
+        calls.append(("_polish", values[~settled], best[rows[~settled]]))
+        return values, angles, settled
 
     monkeypatch.setattr(quantum, "_ascend", lambda *args: calls.append(("_ascend",)) or ascend(*args))
     monkeypatch.setattr(quantum, "_polish", polished)
     experiments.estimate_events(ExperimentConfig(n_values=(3, 5), samples=60, seed=42, foam_samples=1))
     assert [call[0] for call in calls] == ["_ascend", "_polish"] * 2
-    assert calls[1] == ("_polish", 0)  # n = 3 leaves no row unsettled
+    # a row the polish leaves unsettled holds less than its restriction's
+    # best value, so it does not run again
+    for _, unsettled, best in calls[1::2]:
+        assert (unsettled < best).all()
 
 
 @pytest.mark.parametrize("shift, rounds", [(-1.0, 1), (1.0, 2)], ids=["below-best", "best"])
@@ -657,6 +662,27 @@ def test_polish_never_ends_below_the_plain_ascent(monkeypatch):
         assert (np.array([r["value"] for r in results]) >= plain.reshape(-1, starts).max(axis=1) - 1e-12).all()
 
 
+def test_short_rounds_lose_nothing_against_long_rounds(monkeypatch):
+    # the estimator's batches on the seed-42 bench job: n = 3, 5 with 60
+    # samples; the full and every restricted value after rounds of
+    # POLISH_AFTER sweeps are no lower than after rounds of 20
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs, optimize_restrictions(*args, **kwargs)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(experiments, "optimize_restrictions", record)
+    experiments.estimate_events(ExperimentConfig(n_values=(3, 5), samples=60, seed=42, foam_samples=1))
+    assert len(calls) == 2 and quantum.POLISH_AFTER < 20
+    monkeypatch.setattr(quantum, "POLISH_AFTER", 20)
+    for args, kwargs, results in calls:
+        long_rounds = optimize_restrictions(*args, **kwargs)
+        assert len(results) == len(args[1]) == 61  # the full game and each sample
+        for short, long in zip(results, long_rounds):
+            assert short["value"] >= long["value"] - 1e-12
+
+
 @pytest.mark.parametrize("n", [3, 5])
 def test_polished_rows_do_not_see_the_other_restrictions(n):
     game, cases = _restrictions(n)
@@ -677,11 +703,19 @@ def test_polished_rows_do_not_see_the_other_restrictions(n):
 def test_no_row_runs_more_than_sweeps_coordinate_sweeps(monkeypatch, sweeps):
     game, cases = _restrictions(5)
     budgets = []
-    real = quantum._ascend
+    real, polish = quantum._ascend, quantum._polish
+
+    def never_settled(forms, rows, angles):
+        # every round gains 1 and settles no row, so rounds run up to the cap
+        values, angles, settled = polish(forms, rows, angles)
+        return values + len(budgets), angles, np.zeros_like(settled)
+
     monkeypatch.setattr(quantum, "_ascend", lambda f, r, a, s: budgets.append(s) or real(f, r, a, s))
+    monkeypatch.setattr(quantum, "_polish", never_settled)
     optimize_restrictions(game, cases, list(range(len(cases))), starts=4, sweeps=sweeps)
     # each call of the ascent caps the sweeps of every row it is given
-    assert budgets[0] == min(sweeps, quantum.POLISH_AFTER) and sum(budgets) <= sweeps
+    assert budgets[0] == min(sweeps, quantum.POLISH_AFTER) and max(budgets) <= quantum.POLISH_AFTER
+    assert sum(budgets) == sweeps
 
 
 def test_angle_forms_memory_stays_small():
