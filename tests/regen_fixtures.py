@@ -95,8 +95,8 @@ def compare(old: dict, new: dict, old_ratios: dict, new_ratios: dict, ratio_full
     for n, agg in new["per_n"].items():
         was = old["per_n"][n]["q_full"]
         drops.append((was - agg["q_full"], f"q_full n={n}: {was!r} -> {agg['q_full']!r}"))
-    # q_full is seeded by the config seed alone, so the archived default
-    # run's n = 3 value is the ratio run's too; q_restricted is recovered
+    # q_full depends on n alone, so the archived default run's n = 3
+    # value is the ratio run's too; q_restricted is recovered
     # as q_full + classical_ref * R_theorem, exact up to rounding
     (q_new, cref), q_old = ratio_full, old["per_n"]["3"]["q_full"]
     pairs = list(zip(old_ratios["R_theorem"], new_ratios["R_theorem"]))
@@ -118,8 +118,6 @@ def compare(old: dict, new: dict, old_ratios: dict, new_ratios: dict, ratio_full
 
 def main() -> int:
     old, old_ratios = json.loads(DEFAULT.read_text()), json.loads(RATIOS.read_text())
-    if old_ratios["seed"] != old["config"]["seed"]:
-        raise SystemExit("the two fixtures no longer share a seed; compare the ratio run's q_full by hand")
     text = emit(estimate_events(ExperimentConfig()).to_json())
     new_ratios, ratio_full = ratio_fixture(old_ratios["samples"], old_ratios["seed"])
     DEFAULT.write_text(text)

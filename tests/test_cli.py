@@ -467,6 +467,7 @@ BAD_INPUTS = {
     "norms-vector-inf": ({}, ["norms", "--vector", "inf"]),
     "curve-epsilon-nan": ({}, ["norms", "--curve", "1,0;1,0;1,0", "--n", "3", "--epsilon", "nan"]),
     "curve-epsilon-inf": ({}, ["norms", "--curve", "1,0;1,0;1,0", "--n", "3", "--epsilon", "inf"]),
+    "experiment-theta-grid-inf": ({}, ["experiment", "--samples", "2", "--n-values", "3", "--theta-grid", "inf"]),
     "foam-lesssim-c-nan": ({}, ["foam", "--lesssim-c", "nan"]),
     "foam-lesssim-c-0": ({}, ["foam", "--lesssim-c", "0"]),
     "pearls-max-points-negative": ({}, ["pearls", "--grow", "--max-points=-1"]),

@@ -384,7 +384,7 @@ def test_sample_size_six_acceptance_matches_exhaustive_count():
 
 def test_restricted_values_identity_contraction():
     g = TorusGraph(3, 2)  # empty removal: test-only bypass, not torical
-    rec = restricted_values(g, 3, 2, seed=5)
+    rec = restricted_values(g, 3, 2)
     assert rec["q_restricted"] == rec["q_full"]
     ratios = ratio_variants(rec["q_restricted"], rec["q_full"], rec["classical_ref"])
     assert ratios["theorem"] == 0.0
@@ -406,13 +406,13 @@ def test_restricted_values_builds_its_game_once(monkeypatch):
     built = []
     for module in (experiments, games):
         record_calls(monkeypatch, built, module, "make_odd_cycle_game", lambda n, d=1: (n, d))
-    restricted_values(TorusGraph(5, 2, transverse_cut_blocker(5, 2)), 5, 2, starts=1, sweeps=5)
+    restricted_values(TorusGraph(5, 2, transverse_cut_blocker(5, 2)), 5, 2)
     assert built == [("make_odd_cycle_game", (5, 2))]
 
 
 def test_restricted_values_transverse_cut():
     g = TorusGraph(3, 2, transverse_cut_blocker(3, 2))
-    rec = restricted_values(g, 3, 2, seed=5)
+    rec = restricted_values(g, 3, 2)
     assert rec["contraction"].image_count < rec["contraction"].preimage_count
     assert rec["q_restricted"] >= rec["q_full"] - 1e-9
     assert rec["classical_ref"] == Fraction(3, 4)
@@ -421,6 +421,21 @@ def test_restricted_values_transverse_cut():
 def test_restricted_values_shape_mismatch():
     with pytest.raises(ExperimentError):
         restricted_values(TorusGraph(3, 2), 5, 2)
+
+
+def test_a_restricted_value_below_the_full_value_raises(monkeypatch):
+    # the canonical start begins every restriction at the full value, so
+    # an optimiser that hands back one lower value is a broken invariant
+    real = experiments.optimize_restrictions
+
+    def one_low(*args, **kwargs):
+        results = real(*args, **kwargs)
+        results[2]["value"] = results[0]["value"] - 1e-9
+        return results
+
+    monkeypatch.setattr(experiments, "optimize_restrictions", one_low)
+    with pytest.raises(ExperimentError, match="sample 1 has q_restricted"):
+        estimate_events(small_config())
 
 
 def test_ratio_variants():
@@ -582,6 +597,7 @@ def test_report_surface_fields():
         {"epsilon3": 1.0},
         {"theta_grid": ()},
         {"theta_grid": (0.1, 0.0)},
+        {"theta_grid": (0.1, math.inf)},
         {"removal_law": {"kind": "uniform"}},
         {"removal_law": {"kind": "uniform-size"}},
         {"removal_law": {"kind": "uniform-edge-fraction", "low": 0.4}},

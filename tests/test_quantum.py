@@ -485,7 +485,7 @@ def test_ascents_leave_their_starts_unchanged():
     assert all((a == b).all() for a, b in zip(start, kept))
 
 
-def test_optimize_restrictions_routes_by_row_count():
+def test_batch_size_does_not_change_restriction_values():
     # a batch of many restrictions and one of two agree on the shared ones
     game, cases = _restrictions(3)
     seeds = list(range(len(cases)))
@@ -529,25 +529,44 @@ def test_no_start_is_rejected():
 
 
 def test_bench_config_runs_one_round_per_n(monkeypatch):
-    # the estimator's batches on the seed-42 bench job: n = 3, 5 with 60 samples
+    # the estimator's batches on the seed-42 bench job: n = 3, 5 with 60
+    # samples; from the canonical start every row settles in its first round
     calls = []
     ascend, polish = quantum._ascend, quantum._polish
 
     def polished(forms, rows, angles):
         values, angles, settled = polish(forms, rows, angles)
-        best = np.full(rows.max() + 1, -np.inf)
-        np.maximum.at(best, rows, values)
-        calls.append(("_polish", values[~settled], best[rows[~settled]]))
+        calls.append(("_polish", settled))
         return values, angles, settled
 
     monkeypatch.setattr(quantum, "_ascend", lambda *args: calls.append(("_ascend",)) or ascend(*args))
     monkeypatch.setattr(quantum, "_polish", polished)
     experiments.estimate_events(ExperimentConfig(n_values=(3, 5), samples=60, seed=42, foam_samples=1))
     assert [call[0] for call in calls] == ["_ascend", "_polish"] * 2
-    # a row the polish leaves unsettled holds less than its restriction's
-    # best value, so it does not run again
-    for _, unsettled, best in calls[1::2]:
-        assert (unsettled < best).all()
+    assert all(settled.all() for _, settled in calls[1::2])
+
+
+def test_later_rounds_raise_a_lone_random_start():
+    # one random start per restriction and no inits: rows still climbing
+    # after their first round run again, and the later rounds raise them
+    game, cases = _restrictions(5)
+    seeds = list(range(len(cases)))
+    one_round = optimize_restrictions(game, cases, seeds, starts=1, sweeps=quantum.POLISH_AFTER)
+    rounds = optimize_restrictions(game, cases, seeds, starts=1)
+    gains = [later["value"] - first["value"] for later, first in zip(rounds, one_round)]
+    assert min(gains) >= -1e-12 and max(gains) > 0.01
+
+
+def test_starts_without_random_ones_build_no_generator(monkeypatch):
+    game, cases = _restrictions(3)
+    canonical = canonical_odd_cycle_strategy(3)
+    inits = [(dict(canonical.alice_angles), dict(canonical.bob_angles))]
+    forms = _AngleForms(game, cases)
+    monkeypatch.setattr(np.random, "default_rng", None)
+    angles = forms.starts(list(range(len(cases))), 1, inits)
+    assert all(side.shape[1] == len(cases) for side in angles)
+    with pytest.raises(TypeError):
+        forms.starts(list(range(len(cases))), 2, inits)
 
 
 @pytest.mark.parametrize("shift, rounds", [(-1.0, 1), (1.0, 2)], ids=["below-best", "best"])
@@ -644,28 +663,10 @@ def test_polished_depth_two_value_is_cos_fourth(n):
     assert abs(optimize_angles(make_odd_cycle_game(n, 2))["value"] - math.cos(math.pi / (4 * n)) ** 4) < 1e-12
 
 
-def test_polish_never_ends_below_the_plain_ascent(monkeypatch):
-    # the estimator's batches on the seed-42 bench job: n = 3, 5 with 60 samples
-    calls = []
-
-    def record(*args, **kwargs):
-        calls.append((args, kwargs, optimize_restrictions(*args, **kwargs)))
-        return calls[-1][-1]
-
-    monkeypatch.setattr(experiments, "optimize_restrictions", record)
-    experiments.estimate_events(ExperimentConfig(n_values=(3, 5), samples=60, seed=42))
-    assert len(calls) == 2
-    for (game, restrictions, seeds), kwargs, results in calls:
-        starts, forms = kwargs["starts"], _AngleForms(game, restrictions)
-        rows = np.repeat(np.arange(len(seeds)), starts)
-        plain = _values(forms, rows, _ascend(forms, rows, forms.starts(seeds, starts, kwargs["inits"]), kwargs["sweeps"]))
-        assert (np.array([r["value"] for r in results]) >= plain.reshape(-1, starts).max(axis=1) - 1e-12).all()
-
-
-def test_short_rounds_lose_nothing_against_long_rounds(monkeypatch):
-    # the estimator's batches on the seed-42 bench job: n = 3, 5 with 60
-    # samples; the full and every restricted value after rounds of
-    # POLISH_AFTER sweeps are no lower than after rounds of 20
+def _bench_calls(monkeypatch) -> list:
+    """(args, kwargs, results) of each optimize_restrictions call of the
+    estimator on the seed-42 bench job: n = 3, 5 with 60 samples, the full
+    game and each sample in one call per n."""
     calls = []
 
     def record(*args, **kwargs):
@@ -674,13 +675,46 @@ def test_short_rounds_lose_nothing_against_long_rounds(monkeypatch):
 
     monkeypatch.setattr(experiments, "optimize_restrictions", record)
     experiments.estimate_events(ExperimentConfig(n_values=(3, 5), samples=60, seed=42, foam_samples=1))
-    assert len(calls) == 2 and quantum.POLISH_AFTER < 20
+    assert [len(args[1]) for args, _, _ in calls] == [61, 61]
+    return calls
+
+
+def test_polish_never_ends_below_the_plain_ascent(monkeypatch):
+    # the plain ascent runs optimize_restrictions' default 200 sweeps
+    for (game, restrictions, seeds), kwargs, results in _bench_calls(monkeypatch):
+        starts, forms = kwargs["starts"], _AngleForms(game, restrictions)
+        rows = np.repeat(np.arange(len(seeds)), starts)
+        plain = _values(forms, rows, _ascend(forms, rows, forms.starts(seeds, starts, kwargs["inits"]), 200))
+        assert (np.array([r["value"] for r in results]) >= plain.reshape(-1, starts).max(axis=1) - 1e-12).all()
+
+
+def test_short_rounds_lose_nothing_against_long_rounds(monkeypatch):
+    # the full and every restricted value after rounds of POLISH_AFTER
+    # sweeps are no lower than after rounds of 20
+    calls = _bench_calls(monkeypatch)
+    assert quantum.POLISH_AFTER < 20
     monkeypatch.setattr(quantum, "POLISH_AFTER", 20)
     for args, kwargs, results in calls:
         long_rounds = optimize_restrictions(*args, **kwargs)
-        assert len(results) == len(args[1]) == 61  # the full game and each sample
         for short, long in zip(results, long_rounds):
             assert short["value"] >= long["value"] - 1e-12
+
+
+def test_one_canonical_start_loses_nothing_against_four_starts(monkeypatch):
+    # the estimator's one canonical start against four starts: the
+    # canonical one and three random ones, seeded by the config seed for
+    # the full game and by one draw after each sample's graph
+    law = ExperimentConfig().removal_law
+    for (game, restrictions, _), kwargs, results in _bench_calls(monkeypatch):
+        assert kwargs["starts"] == 1
+        seeds = [42]
+        for index in range(60):
+            rng = _sample_rng(42, game.n, index)
+            sample_torical_graph(game.n, 2, law, rng)
+            seeds.append(int(rng.integers(0, 2**31)))
+        four = optimize_restrictions(game, restrictions, seeds, starts=4, inits=kwargs["inits"])
+        for one, old in zip(results, four):
+            assert one["value"] >= old["value"] - 1e-12
 
 
 @pytest.mark.parametrize("n", [3, 5])
