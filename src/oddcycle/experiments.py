@@ -6,7 +6,7 @@ referee draws a vertex of T_n^2 and an offset t in {0,1}^2 per coordinate,
 which is exactly the depth-2 tensor game.  A removed edge set kills the
 question pairs whose elementary axis path (axis 0 before axis 1) crosses a
 removed edge; restricted values are heuristic angle-optimization suprema
-over the surviving pairs.  A pair with t = 0 has an empty path, so every
+over the kept pairs.  A pair with t = 0 has an empty path, so every
 removal keeps at least n^d pairs and every sample is used.  "One round of
 ordinary parallel repetition" squares the base values and the classical
 reference (exact repeated values are beyond any exhaustive budget).  The
@@ -71,6 +71,10 @@ class SamplingError(RuntimeError):
     pass
 
 
+class InvariantError(RuntimeError):
+    """A broken internal invariant: a bug in the library, not a bad input."""
+
+
 # -- tensor contraction -------------------------------------------------------
 
 
@@ -88,16 +92,16 @@ def elementary_path_edges(u: tuple, t_bits: tuple, n: int) -> list:
 
 @dataclass
 class ContractionMap:
-    """Surviving question pairs induced by a removed edge set: a pair
-    (u, u+t) is in the image iff its elementary path avoids the removals."""
+    """The image of a removed edge set: kept[p] says whether the elementary
+    path of pair p of make_odd_cycle_game(n, d).pairs avoids the removals."""
 
     graph: TorusGraph
-    surviving: tuple
+    kept: np.ndarray = field(compare=False)  # follows from graph
     preimage_count: int
 
     @property
     def image_count(self) -> int:
-        return len(self.surviving)
+        return int(self.kept.sum())
 
     @property
     def count_ratio(self) -> Fraction:
@@ -106,24 +110,23 @@ class ContractionMap:
 
 @functools.lru_cache(maxsize=64)
 def _elementary_paths(n: int, d: int) -> tuple:
-    """(path edges, question pair (u, u+t)) for every u in [n]^d and t in
-    {0,1}^d; samples of one shape share these pair tuples."""
-    paths = []
-    for u in product(range(n), repeat=d):
-        for t_bits in product((0, 1), repeat=d):
-            qb = tuple((c + b) % n for c, b in zip(u, t_bits))
-            paths.append((tuple(elementary_path_edges(u, t_bits, n)), (u, qb)))
-    return tuple(paths)
+    """The path edges of every question pair (u, u+t), u in [n]^d and then
+    t in {0,1}^d, which is the order of make_odd_cycle_game(n, d).pairs."""
+    return tuple(
+        tuple(elementary_path_edges(u, t_bits, n))
+        for u in product(range(n), repeat=d)
+        for t_bits in product((0, 1), repeat=d)
+    )
 
 
 def contraction_map(g: TorusGraph) -> ContractionMap:
     """The pairs whose elementary paths avoid the removals; the n^d pairs
     with t = 0 have empty paths, so fewer survivors mean a broken table."""
     paths = _elementary_paths(g.n, g.d)
-    surviving = tuple(pair for edges, pair in paths if g.removed.isdisjoint(edges))
-    if len(surviving) < g.n ** g.d:
-        raise ExperimentError(f"{len(surviving)} surviving pairs, fewer than the {g.n ** g.d} with t = 0")
-    return ContractionMap(g, surviving, len(paths))
+    kept = np.array([g.removed.isdisjoint(edges) for edges in paths])
+    if kept.sum() < g.n ** g.d:
+        raise InvariantError(f"{kept.sum()} kept pairs, fewer than the {g.n ** g.d} with t = 0")
+    return ContractionMap(g, kept, len(paths))
 
 
 def classify_count_ratio(ratio: float, low: float, high: float) -> int:
@@ -294,14 +297,14 @@ def _first_blocker_in_chunks(n: int, d: int, size: int, rng) -> Optional[tuple]:
 
 
 def restricted_values(g: TorusGraph, base_n: int, d: int = 2) -> dict:
-    """Quantum value of the full depth-d game vs the surviving-question
+    """Quantum value of the full depth-d game vs the kept-question
     subgame (renormalized distribution), plus the classical reference.
     Suprema are angle optimizations from the canonical tables (lower bounds)."""
     if g.n != base_n or g.d != d:
         raise ExperimentError("graph shape does not match the requested game")
     contraction = contraction_map(g)
     game = make_odd_cycle_game(base_n, d)
-    full_value, restricted = _optima(game, [None, contraction.surviving])
+    full_value, restricted = _optima(game, [None, contraction.kept])
     return {
         "q_full": full_value,
         "q_restricted": restricted,
@@ -311,13 +314,14 @@ def restricted_values(g: TorusGraph, base_n: int, d: int = 2) -> dict:
 
 
 def _optima(game: GameSpec, restrictions: list) -> list:
-    """Angle-optimised values of restrictions of an odd-cycle game (None:
-    the full game), each climbed from the canonical angle tables alone (no
-    seed is used) in one optimize_restrictions call; those tables win every
-    pair with cos^4(pi/4n), the full value, so none starts below it."""
+    """Angle-optimised values of restrictions of an odd-cycle game (None,
+    the full game, or a keep-mask over game.pairs), climbed from the
+    canonical angle tables alone, with no seed, in one optimize_restrictions
+    call; they win every pair with cos^4(pi/4n), the full value, so none
+    starts below it."""
     canonical = canonical_odd_cycle_strategy(game.n)
     inits = [(dict(canonical.alice_angles), dict(canonical.bob_angles))]
-    results = optimize_restrictions(game, restrictions, [0] * len(restrictions), starts=1, inits=inits)
+    results = optimize_restrictions(game, restrictions, starts=1, inits=inits)
     return [float(r["value"]) for r in results]
 
 
@@ -377,7 +381,7 @@ def proposition_prefactors(
 ) -> dict:
     """The six counting prefactors and the four simultaneous events.
 
-    F1 = surviving (image) pair count, F2 = |V(tube)|, F3 = |V(T^d)|,
+    F1 = kept (image) pair count, F2 = |V(tube)|, F3 = |V(T^d)|,
     F4 = total (preimage) pair count, F5 = |V(giant)| for the untouched-
     vertex marking, F6 = |V(section)|; the reported product is
     F1 F2 F4 F5 / (F3 F6).  Events: (1) the removal set is nonempty,
@@ -591,7 +595,7 @@ def estimate_events(config: ExperimentConfig) -> ExperimentReport:
     built once; every sample is drawn, then the full game and the
     restrictions of all samples are optimised as one batch from the
     canonical tables, which no restricted value may end below (less
-    1e-12: ExperimentError), then each sample's ratios and events are
+    1e-12: InvariantError), then each sample's ratios and events are
     computed.  Every sample is used, so ``excluded`` is always 0."""
     per_n = {}
     all_samples = []
@@ -602,9 +606,9 @@ def estimate_events(config: ExperimentConfig) -> ExperimentReport:
         tube = make_tube(TorusGraph(n, config.d), axis=0, base=tuple([0] * config.d), width=config.tube_width)
         section = make_section(tube, position=0)
         drawn = [_draw_sample(config, n, i) for i in range(count)]
-        q_full, *optima = _optima(game, [None] + [s["contraction"].surviving for s in drawn])
+        q_full, *optima = _optima(game, [None] + [s["contraction"].kept for s in drawn])
         if min(optima) < q_full - 1e-12:
-            raise ExperimentError(f"n={n}: sample {np.argmin(optima)} has q_restricted {min(optima)} < q_full {q_full}")
+            raise InvariantError(f"n={n}: sample {np.argmin(optima)} has q_restricted {min(optima)} < q_full {q_full}")
         records = [
             _finish_sample(config, s, q_r, q_full, float(ref["value"]), tube, section)
             for s, q_r in zip(drawn, optima)
@@ -650,7 +654,7 @@ def estimate_events(config: ExperimentConfig) -> ExperimentReport:
         # nonincreasing along the sorted grid
         ordered = sorted(zip(config.theta_grid, sweep_phat))
         if any(a[1] < b[1] - 1e-12 for a, b in zip(ordered, ordered[1:])):
-            raise ExperimentError(f"n={n}: threshold sweep not nonincreasing: {ordered}")
+            raise InvariantError(f"n={n}: threshold sweep not nonincreasing: {ordered}")
         agg["possibility_frequencies"] = {str(k): share(lambda r: r["possibility"] == k) for k in (1, 2, 3)}
         agg["possibility_4_observed"] = False  # a count ratio below 1 raises per sample
         for key in ("P_E3_difference", "P_E3_quotient"):

@@ -222,6 +222,8 @@ SINGLE_PEAK_STEPS = 8
 # sweeps took about as long and rounds of 4 or 20 longer
 POLISH_AFTER = 2
 POLISH_STEPS = 12
+# a row whose round gains less than this runs no further round
+ROUND_GAIN_TOL = 1e-12
 
 
 def _newton(z1: complex, z2: complex, a: float) -> float:
@@ -261,24 +263,24 @@ def _maximize_profile(z1: complex, z2: complex) -> float:
     return best[1]
 
 
-def _gauge_fixed(kept: np.ndarray, ends: list, n_keys: int) -> np.ndarray:
+def _gauge_fixed(kept: np.ndarray, ends: tuple, n_keys: int) -> np.ndarray:
     """(keys, restrictions) mask of the keys outside restriction i's kept
     edges kept[i] and of the smallest key of each connected component of
-    them, the edges joining the key pairs ends[e] (union-find)."""
-    fixed = np.ones((n_keys, len(kept)), dtype=bool)
-
-    def find(root: dict, k: int) -> int:
-        while root[k] != k:
-            k = root[k]
-        return k
-
-    for i, edges in enumerate(kept):
-        root: dict = {}
-        for a, b in (ends[e] for e in np.flatnonzero(edges).tolist()):
-            ra, rb = find(root, root.setdefault(a, a)), find(root, root.setdefault(b, b))
-            root[max(ra, rb)] = min(ra, rb)
-        fixed[[k for k in root if find(root, k) != k], i] = False
-    return fixed
+    them, edge e joining keys ends[0][e] and ends[1][e].  Each key starts
+    as its own label; each kept edge pulls both its ends to the smaller
+    label, then each label takes its own label's label, until none moves."""
+    edge, column = np.nonzero(kept.T)
+    a, b = ends[0][edge], ends[1][edge]
+    label = np.repeat(np.arange(n_keys)[:, None], len(kept), axis=1)
+    while True:
+        pulled = label.copy()
+        low = np.minimum(label[a, column], label[b, column])
+        np.minimum.at(pulled, (a, column), low)
+        np.minimum.at(pulled, (b, column), low)
+        pulled = np.take_along_axis(pulled, pulled, axis=0)
+        if (pulled == label).all():
+            return label == np.arange(n_keys)[:, None]
+        label = pulled
 
 
 class _AngleForms:
@@ -320,20 +322,20 @@ class _AngleForms:
         asks = [np.zeros((n_pairs, len(ks))) for ks in self.keys]
         for ask, end in zip(asks, self.ends):
             ask[pair, end[legs]] = 1.0
-        keeps = (None if r is None else set(r) for r in restrictions)
-        kept = np.array([[keep is None or q in keep for q in names] for keep in keeps], dtype=float)
+        kept = np.array([np.ones(n_pairs) if keep is None else keep for keep in restrictions], dtype=float)
+        if kept.shape != (len(restrictions), n_pairs):
+            raise QuantumError("a restriction is None or a keep-mask over the game's pairs")
         weight = kept * np.array([float(w) for _, _, w in game.pairs])
         total = weight.sum(axis=1, keepdims=True)
         if not total.all():
-            raise QuantumError("no surviving question pairs to optimize over")
+            raise QuantumError("no kept question pairs to optimize over")
         weight /= total
         b = (weight @ linear).T
         self.present = [(kept @ ask > 0).T for ask in asks]
         asked = np.zeros((n_pairs, n_edges))
         asked[pair, legs] = 1.0
         split = len(self.keys[0])
-        ends = list(zip(self.ends[0].tolist(), (split + self.ends[1]).tolist()))
-        self.fixed = _gauge_fixed(kept @ asked > 0, ends, split + len(self.keys[1]))
+        self.fixed = _gauge_fixed(kept @ asked > 0, (self.ends[0], split + self.ends[1]), split + len(self.keys[1]))
         # objective = r1.(A r1) for r1 = (r, 1)
         self.A = np.zeros((n_edges + 1, n_edges + 1, len(restrictions)))
         Q = self.A[:-1, :-1]
@@ -371,23 +373,25 @@ class _AngleForms:
         coef = (Q[inc[:, i], inc[:, j]] * np.where(i == j, 0.5, 1.0)[:, None]).astype(complex)
         return (side, keys, inc, self.ends[1 - side][inc], i, j), (rows, coef, self.present[side][keys])
 
-    def starts(self, seeds: list, count: int, inits) -> list:
+    def starts(self, seeds: Optional[list], count: int, inits) -> list:
         """Per side, the start angles over all keys of every row (row index
         last): row i*count + j is start j of restriction i, 0 on the keys it
         lacks.  On its keys: the inits' angles (0 where a table lacks a
         key), then random starts drawn per side from default_rng(seeds[i]),
-        up to `count` in all; with no random start, no generator is built."""
-        angles = [np.zeros((len(ks), len(seeds) * count)) for ks in self.keys]
-        for i, seed in enumerate(seeds):
-            keys = [[q for q, on in zip(ks, here[:, i]) if on] for ks, here in zip(self.keys, self.present)]
-            drawn = [[[float(table.get(q, 0.0)) for q in ks] for table, ks in zip(init, keys)] for init in inits or []]
-            if len(drawn) < count:
+        up to `count` in all; with no random start, no generator is built
+        and seeds may be None."""
+        inits = inits or []
+        angles = [np.zeros((len(ks), here.shape[1], count)) for ks, here in zip(self.keys, self.present)]
+        for j, init in enumerate(inits):
+            for side, table, ks, here in zip(angles, init, self.keys, self.present):
+                side[..., j] = np.where(here, np.array([float(table.get(q, 0.0)) for q in ks])[:, None], 0.0)
+        if len(inits) < count:
+            for i, seed in enumerate(seeds):
                 rng = np.random.default_rng(seed)
-                drawn += [[rng.uniform(0, 2 * math.pi, len(ks)) for ks in keys] for _ in range(count - len(drawn))]
-            for j, start in enumerate(drawn):
-                for side, here in enumerate(self.present):
-                    angles[side][here[:, i], i * count + j] = start[side]
-        return angles
+                for j in range(len(inits), count):
+                    for side, here in zip(angles, self.present):
+                        side[here[:, i], i, j] = rng.uniform(0, 2 * math.pi, here[:, i].sum())
+        return [side.reshape(len(side), -1) for side in angles]
 
     def strategy(self, i: int, angles) -> QubitStrategy:
         """The strategy of per-side angles over all keys, tabled on the keys
@@ -576,32 +580,33 @@ def _polish(forms: _AngleForms, rows: np.ndarray, angles: list) -> tuple:
 def optimize_restrictions(
     game: GameSpec,
     restrictions: list,
-    seeds: list,
+    seeds: Optional[list] = None,
     starts: int = 8,
     sweeps: int = 200,
-    tol: float = 1e-12,
     inits: Optional[list] = None,
 ) -> list:
-    """optimize_angles(game, seeds[i], starts, sweeps, tol, restrictions[i],
-    inits) for every i.  One _AngleForms holds every restriction's
-    objective and row i*starts + j runs start j of restriction i.  The
-    rows run in rounds of POLISH_AFTER coordinate sweeps of the batched
-    _ascend, each ended by a _polish, up to `sweeps` sweeps in all.  A row
-    runs another round only while it is unsettled, its last round gained
-    at least tol, and its value is the best of its restriction's starts:
-    a start below that best would change the result only by climbing past
-    it, and over 2,940 estimator samples with four starts each (n = 3..15,
+    """optimize_angles(game, seeds[i], starts, sweeps, restrictions[i],
+    inits) for every i, where a restriction is None (the full game) or a
+    boolean keep-mask over game.pairs.  One _AngleForms holds every
+    restriction's objective and row i*starts + j runs start j of
+    restriction i.  The rows run in rounds of POLISH_AFTER coordinate
+    sweeps of the batched _ascend, each ended by a _polish, up to `sweeps`
+    sweeps in all.  A row runs another round only while it is unsettled,
+    its last round gained at least ROUND_GAIN_TOL, and its value is the
+    best of its restriction's starts: a start below that best would change
+    the result only by climbing past it, and over 2,940 estimator samples with four starts each (n = 3..15,
     seeds 0, 7, 42) none did by more than 3.3e-16.  The first best start
     of each restriction wins; its value is a polished local maximum, a
     heuristic lower bound on the restriction's supremum.  Fewer than one
-    start, inits included, is a QuantumError."""
-    if len(restrictions) != len(seeds):
-        raise QuantumError("one seed per restriction")
+    start, inits included, is a QuantumError, and so is a random start
+    without one seed per restriction."""
     starts = max(starts, len(inits or []))  # every init runs
     if starts < 1:
         raise QuantumError(f"starts must be at least 1, got {starts}")
+    if starts > len(inits or []) and (seeds is None or len(seeds) != len(restrictions)):
+        raise QuantumError("random starts need one seed per restriction")
     forms = _AngleForms(game, restrictions)
-    rows = np.repeat(np.arange(len(seeds)), starts)
+    rows = np.repeat(np.arange(len(restrictions)), starts)
     angles = forms.starts(seeds, starts, inits)
     values = np.full(len(rows), -np.inf)
     todo, spent = np.arange(len(rows)), 0
@@ -615,7 +620,7 @@ def optimize_restrictions(
             side[:, todo] = polished
         spent += run
         leading = got == values.reshape(-1, starts).max(axis=1)[rows[todo]]
-        todo = todo[~settled & (gained >= tol) & leading]
+        todo = todo[~settled & (gained >= ROUND_GAIN_TOL) & leading]
         if not len(todo) or spent >= sweeps:
             break
     best = values.reshape(-1, starts).argmax(axis=1) + np.arange(0, len(rows), starts)
@@ -630,18 +635,18 @@ def optimize_angles(
     seed: int = 0,
     starts: int = 8,
     sweeps: int = 200,
-    tol: float = 1e-12,
-    restrict_pairs=None,
+    keep: Optional[np.ndarray] = None,
     inits: Optional[list] = None,
 ) -> dict:
     """Multi-start coordinate ascent over the 2n measurement angles (theta
     fixed to 0, outcome maps unflipped; both are absorbable into the
-    tables), finished by joint Newton steps (see optimize_restrictions).
+    tables), finished by joint Newton steps (see optimize_restrictions),
+    on the pairs of game.pairs where the mask keep holds (all if None).
     A start stops once its Newton polish settles at rounding level, a
-    round gains less than tol, or another start holds a higher value.
-    The value is a polished local maximum of the best start: still a
-    heuristic lower bound on the restricted-game supremum."""
-    return optimize_restrictions(game, [restrict_pairs], [seed], starts, sweeps, tol, inits)[0]
+    round gains less than ROUND_GAIN_TOL, or another start holds a higher
+    value.  The value is a polished local maximum of the best start: still
+    a heuristic lower bound on the restricted-game supremum."""
+    return optimize_restrictions(game, [keep], [seed], starts, sweeps, inits)[0]
 
 
 def bias_and_approximality(

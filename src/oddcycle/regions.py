@@ -301,9 +301,9 @@ def grow_consistent_cycle(
     neighborhood, then close it into a cycle with geodesics.
 
     Each step adds the point outside Q_y (and not yet chosen, with at least
-    one surviving incident edge) that is L-infinity nearest to Q_y while
+    one remaining incident edge) that is L-infinity nearest to Q_y while
     keeping the set pairwise consistent; ties break lexicographically.  On
-    a torical graph any closed walk on surviving edges has even winding, so
+    a torical graph any closed walk on remaining edges has even winding, so
     completed cycles are expected topologically even; the winding report
     uses the same machinery as ``winding_and_parity``.  The isoperimetric
     diagnostic (1.5 n vs 2 n^2 (1 - v)) is reported, never asserted.

@@ -118,7 +118,7 @@ class TorusGraph:
         return (self.step(v, axis, -1), axis)
 
     def neighbors(self, v: Vertex) -> Iterator[tuple]:
-        """Yield (u, axis, sign, edge) over surviving incident edges."""
+        """Yield (u, axis, sign, edge) over remaining incident edges."""
         for axis in range(self.d):
             for sign in (1, -1):
                 edge = self.edge_of_step(v, axis, sign)
@@ -288,7 +288,7 @@ def _lift_search(n: int, d: int, removed, mode: str) -> tuple:
 
     Roots go in rank order, neighbours in ``TorusGraph.neighbors`` order.
     Each vertex gets the packed lift of ``_edge_ends`` and the id of the
-    tree edge that reached it (-1 at a root).  A surviving edge from v to u
+    tree edge that reached it (-1 at a root).  A remaining edge from v to u
     closes a cycle of winding lift(v) + step - lift(u), zero on tree edges;
     these fundamental cycles generate every cycle of the residual graph, so
     the removal blocks iff each such winding is zero (odd-only: even).
@@ -323,24 +323,14 @@ def _lift_search(n: int, d: int, removed, mode: str) -> tuple:
 
 
 @lru_cache(maxsize=32)
-def _edge_loops(n: int, d: int) -> tuple:
-    """Per edge id: the index of the axis loop holding that edge.  The loop
-    along ``axis`` through the vertices that agree off ``axis`` with v has
-    index ``axis * n^(d-1) + rank`` of v with coordinate ``axis`` dropped;
-    the d * n^(d-1) loops partition the edges, n edges each."""
-    loops = []
-    for tail in range(n ** d):
-        for axis in range(d):
-            place = n ** (d - 1 - axis)
-            loops.append(axis * n ** (d - 1) + tail // (place * n) * place + tail % place)
-    return tuple(loops)
-
-
-@lru_cache(maxsize=32)
 def _loop_major_edges(n: int, d: int) -> np.ndarray:
-    """Edge ids grouped by axis loop (see ``_edge_loops``): row i of the
-    (d * n^(d-1), n) reshape holds the n edges of loop i."""
-    order = np.argsort(np.array(_edge_loops(n, d)), kind="stable")
+    """Edge ids grouped by axis loop: row axis * n^(d-1) + r of the
+    (d * n^(d-1), n) reshape holds the n edges along ``axis`` whose tails
+    have rank r with coordinate ``axis`` dropped.  Edge id d * rank(v) +
+    axis is ids[v + (axis,)], so moving ``axis`` last lays its loops out
+    as rows; the loops partition the edges."""
+    ids = np.arange(d * n**d).reshape((n,) * d + (d,))
+    order = np.concatenate([np.moveaxis(ids[..., axis], axis, -1).reshape(-1) for axis in range(d)])
     order.flags.writeable = False
     return order
 
@@ -455,7 +445,7 @@ def min_blocker(
 
 
 def geodesic(g: TorusGraph, a: Vertex, b: Vertex) -> list:
-    """Minimum-hop path on surviving edges; ties broken by expanding
+    """Minimum-hop path on remaining edges; ties broken by expanding
     neighbors in lexicographic vertex order."""
     a, b = tuple(a), tuple(b)
     if a == b:
@@ -551,7 +541,7 @@ def region_stats(regions: Sequence[RegionSet]) -> list:
 
 def marked_components(g: TorusGraph, region: RegionSet) -> list:
     """Connected components of the marked vertices inside the region,
-    using surviving edges with both endpoints marked."""
+    using remaining edges with both endpoints marked."""
     marked = set(region.marked)
     comps = []
     while marked:

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddcycle import experiments, games
+from oddcycle import cli, experiments, games
 from oddcycle.experiments import (
     ExperimentConfig,
     ExperimentError,
+    InvariantError,
     SamplingError,
     channel_diamond,
     classify_count_ratio,
@@ -79,6 +80,8 @@ def test_contraction_counts_against_direct_recount():
                 survivors += 1
     assert cm.image_count == survivors == 25
     assert cm.image_count < cm.preimage_count  # strict, per the cut fixture
+    # maps compare by value, though the kept mask is an array
+    assert cm == contraction_map(TorusGraph(3, 2, transverse_cut_blocker(3, 2))) != contraction_map(TorusGraph(3, 2))
 
 
 @settings(max_examples=60, deadline=None)
@@ -87,7 +90,7 @@ def test_contraction_counts_against_recount_on_random_removals(n, d, data):
     removed = frozenset(data.draw(st.sets(st.sampled_from(torus_edges(n, d)))))
     cm = contraction_map(TorusGraph(n, d, removed))
     # recount: step along each axis whose offset bit is set, in axis order
-    survivors = []
+    pairs, survivors = [], []
     for u in product(range(n), repeat=d):
         for t in product((0, 1), repeat=d):
             cur, blocked = list(u), False
@@ -95,17 +98,24 @@ def test_contraction_counts_against_recount_on_random_removals(n, d, data):
                 if t[axis]:
                     blocked = blocked or (tuple(cur), axis) in removed
                     cur[axis] = (cur[axis] + 1) % n
+            pairs.append((u, tuple(cur)))
             if not blocked:
-                survivors.append((u, tuple(cur)))
+                survivors.append(pairs[-1])
     assert cm.preimage_count == (2 * n) ** d
     assert cm.image_count == len(survivors)
-    assert sorted(cm.surviving) == sorted(survivors)
+    # the mask follows the pairs in u-then-t order, which is the order of
+    # the game's pairs where the game exists (odd n)
+    assert [pairs[p] for p in np.flatnonzero(cm.kept)] == survivors
+    if n % 2:
+        game = make_odd_cycle_game(n, d)
+        assert [game.pairs[p][:2] for p in np.flatnonzero(cm.kept)] == survivors
 
 
 @pytest.mark.parametrize("n, d", [(3, 1), (3, 2), (5, 1), (5, 2)])
 def test_contraction_keeps_the_t0_pairs_with_every_edge_removed(n, d):
     cm = contraction_map(TorusGraph(n, d, frozenset(torus_edges(n, d))))
-    assert sorted(cm.surviving) == [(u, u) for u in product(range(n), repeat=d)]
+    game = make_odd_cycle_game(n, d)
+    assert [game.pairs[p][:2] for p in np.flatnonzero(cm.kept)] == [(u, u) for u in product(range(n), repeat=d)]
     assert cm.image_count == n**d
     assert cm.count_ratio == 2**d
 
@@ -113,9 +123,9 @@ def test_contraction_keeps_the_t0_pairs_with_every_edge_removed(n, d):
 def test_contraction_raises_below_the_t0_pairs(monkeypatch):
     # a broken path table in which every pair crosses one removed edge
     edge = ((0, 0), 0)
-    broken = tuple(((edge,), pair) for _, pair in experiments._elementary_paths(3, 2))
+    broken = ((edge,),) * len(experiments._elementary_paths(3, 2))
     monkeypatch.setattr(experiments, "_elementary_paths", lambda n, d: broken)
-    with pytest.raises(ExperimentError, match="fewer than the 9"):
+    with pytest.raises(InvariantError, match="fewer than the 9"):
         contraction_map(TorusGraph(3, 2, frozenset({edge})))
 
 
@@ -423,7 +433,7 @@ def test_restricted_values_shape_mismatch():
         restricted_values(TorusGraph(3, 2), 5, 2)
 
 
-def test_a_restricted_value_below_the_full_value_raises(monkeypatch):
+def _one_restricted_value_low(monkeypatch):
     # the canonical start begins every restriction at the full value, so
     # an optimiser that hands back one lower value is a broken invariant
     real = experiments.optimize_restrictions
@@ -434,8 +444,19 @@ def test_a_restricted_value_below_the_full_value_raises(monkeypatch):
         return results
 
     monkeypatch.setattr(experiments, "optimize_restrictions", one_low)
-    with pytest.raises(ExperimentError, match="sample 1 has q_restricted"):
+
+
+def test_a_restricted_value_below_the_full_value_raises(monkeypatch):
+    _one_restricted_value_low(monkeypatch)
+    with pytest.raises(InvariantError, match="sample 1 has q_restricted"):
         estimate_events(small_config())
+
+
+def test_a_broken_invariant_is_not_a_usage_error(monkeypatch, tmp_path):
+    # the CLI exits 2 on usage errors; a broken invariant propagates
+    _one_restricted_value_low(monkeypatch)
+    with pytest.raises(InvariantError, match="sample 1 has q_restricted"):
+        cli.main(["experiment", "--n-values", "3", "--samples", "3", "--out", str(tmp_path)])
 
 
 def test_ratio_variants():

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.csgraph
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -302,6 +304,17 @@ def _surviving_pairs(game, rng):
     return [pairs[i] for i in sorted(rng.choice(len(pairs), size=(len(pairs) + 1) // 2, replace=False))]
 
 
+def _keep(game, pairs):
+    """The keep-mask over game.pairs of a collection of (qa, qb) pairs."""
+    pairs = set(pairs)
+    return np.array([(qa, qb) in pairs for qa, qb, _ in game.pairs])
+
+
+def _kept_pairs(game, keep):
+    """The (qa, qb) pairs that a keep-mask keeps, None for the full game."""
+    return None if keep is None else [game.pairs[p][:2] for p in np.flatnonzero(keep)]
+
+
 @pytest.mark.parametrize(
     "game, restricted",
     [(make_odd_cycle_game(n, d), restricted) for n in (3, 5) for d in (1, 2) for restricted in (False, True)]
@@ -313,7 +326,7 @@ def test_angle_objective_and_profile_match_oracle(game, restricted):
     rng = np.random.default_rng(17)
     keep = _surviving_pairs(game, rng) if restricted else None
     # column 1, the full game, is another batch column
-    forms = _AngleForms(game, [keep, None])
+    forms = _AngleForms(game, [None if keep is None else _keep(game, keep), None])
 
     def oracle(angles, pairs=keep):
         return angle_objective(game, *(dict(zip(ks, a)) for ks, a in zip(forms.keys, angles)), pairs)
@@ -384,19 +397,19 @@ def test_maximize_profile_beats_fine_grid(z1, z2, z1_scale):
 
 
 def _restrictions(n, depth=2):
-    """Surviving pairs of seeded samples, random pair sets, the full game,
-    and sets that drop every pair asking Alice key 0 or Bob key 1."""
+    """Keep-masks of seeded samples' contractions and of random pair sets,
+    the full game (None), and masks that drop every pair asking Alice key
+    0 or Bob key 1."""
     game = make_odd_cycle_game(n, depth)
     law = ExperimentConfig().removal_law
     cases = []
     for index in range(6):
         contraction = contraction_map(sample_torical_graph(n, depth, law, _sample_rng(42, n, index))["graph"])
         if contraction.image_count:
-            cases.append(set(contraction.surviving))
+            cases.append(contraction.kept)
     rng = np.random.default_rng(n)
-    cases += [_surviving_pairs(game, rng) for _ in range(3)]
-    pairs = sorted({(qa, qb) for qa, qb, _ in game.pairs})
-    cases += [None, [p for p in pairs if 0 not in p[0]], [p for p in pairs if 1 not in p[1]]]
+    cases += [_keep(game, _surviving_pairs(game, rng)) for _ in range(3)]
+    cases += [None, np.array([0 not in qa for qa, _, _ in game.pairs]), np.array([1 not in qb for _, qb, _ in game.pairs])]
     return game, cases
 
 
@@ -428,9 +441,9 @@ def _check_batched_rows(n, starts, sweeps, depth):
     batched = _ascend(forms, rows, forms.starts(seeds, starts, inits), sweeps)
     values = _values(forms, rows, batched)
     for row, i in enumerate(rows.tolist()):
-        keep, strategy = cases[i], forms.strategy(i, [side[:, row] for side in batched])
+        keep, strategy = _kept_pairs(game, cases[i]), forms.strategy(i, [side[:, row] for side in batched])
         # the strategy tabulates exactly the coordinates that the kept pairs ask
-        kept = [(qa, qb) for qa, qb, _ in game.pairs if keep is None or (qa, qb) in set(keep)]
+        kept = [(qa, qb) for qa, qb, _ in game.pairs] if keep is None else keep
         assert [set(strategy.alice_angles), set(strategy.bob_angles)] == [{x for q in qs for x in q} for qs in zip(*kept)]
         objective = angle_objective(game, strategy.alice_angles, strategy.bob_angles, keep)
         assert abs(objective - values[row]) < 1e-12
@@ -496,7 +509,10 @@ def test_batch_size_does_not_change_restriction_values():
     with pytest.raises(QuantumError):
         optimize_restrictions(game, cases, seeds[1:])
     with pytest.raises(QuantumError):
-        optimize_restrictions(game, [[]] * 8, [0] * 8, starts=4)
+        optimize_restrictions(game, [np.zeros(len(game.pairs), dtype=bool)] * 8, [0] * 8, starts=4)
+    # a restriction given as its pairs rather than as a keep-mask
+    with pytest.raises(QuantumError, match="keep-mask"):
+        optimize_restrictions(game, [_kept_pairs(game, cases[0])], [0])
 
 
 def test_first_best_start_wins(monkeypatch):
@@ -596,7 +612,7 @@ def test_only_a_restrictions_best_start_runs_again(monkeypatch, shift, rounds):
 def test_derivatives_match_central_differences(depth):
     game = make_odd_cycle_game(5, depth)
     rng = np.random.default_rng(depth)
-    forms = _AngleForms(game, [_surviving_pairs(game, rng), None])
+    forms = _AngleForms(game, [_keep(game, _surviving_pairs(game, rng)), None])
     split, K = len(forms.keys[0]), sum(len(ks) for ks in forms.keys)
 
     def at(x):
@@ -622,7 +638,7 @@ def test_gauge_fixing_removes_exactly_the_null_directions():
     # its pairs leaves two paths, each with its own gauge alpha + c, beta - c
     game = make_odd_cycle_game(5, 1)
     pairs = sorted((qa, qb) for qa, qb, _ in game.pairs)
-    cases = [None, pairs[1:4] + pairs[5:]]
+    cases = [None, _keep(game, pairs[1:4] + pairs[5:])]
     forms = _AngleForms(game, cases)
     present = np.concatenate(forms.present)
     assert ((forms.fixed & present).sum(axis=0) == [1, 2]).all()
@@ -637,6 +653,28 @@ def test_gauge_fixing_removes_exactly_the_null_directions():
         eigenvalues = np.linalg.eigvalsh(hessian[..., i][np.ix_(on, on)])
         assert (np.abs(eigenvalues) < 1e-12).sum() == (forms.fixed & present)[:, i].sum()
         assert np.linalg.eigvalsh(hessian[..., i][np.ix_(free, free)]).max() < -1e-3
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+@pytest.mark.parametrize("depth", [1, 2])
+def test_gauge_fixed_keys_match_connected_components(n, depth):
+    # a key is held still exactly when its restriction does not ask it or
+    # it is the smallest key of its component of the kept pairs' legs
+    game, cases = _restrictions(n, depth)
+    forms = _AngleForms(game, cases)
+    index = [{q: k for k, q in enumerate(ks)} for ks in forms.keys]
+    split, n_keys = len(forms.keys[0]), len(forms.fixed)
+    for i, keep in enumerate(cases):
+        pairs = [p[:2] for p in game.pairs] if keep is None else _kept_pairs(game, keep)
+        legs = [(index[0][qa[j]], split + index[1][qb[j]]) for qa, qb in pairs for j in range(depth)]
+        a, b = np.array(legs).T
+        graph = scipy.sparse.coo_matrix((np.ones(len(a)), (a, b)), shape=(n_keys, n_keys))
+        _, component = scipy.sparse.csgraph.connected_components(graph, directed=False)
+        asked = np.zeros(n_keys, dtype=bool)
+        asked[a] = asked[b] = True
+        smallest = np.array([k == np.flatnonzero(component == component[k])[0] for k in range(n_keys)])
+        assert forms.fixed[:, i].tolist() == (~asked | smallest).tolist()
+        assert (asked == np.concatenate(forms.present)[:, i]).all()
 
 
 def test_cholesky_solve_matches_numpy():
@@ -681,10 +719,10 @@ def _bench_calls(monkeypatch) -> list:
 
 def test_polish_never_ends_below_the_plain_ascent(monkeypatch):
     # the plain ascent runs optimize_restrictions' default 200 sweeps
-    for (game, restrictions, seeds), kwargs, results in _bench_calls(monkeypatch):
+    for (game, restrictions), kwargs, results in _bench_calls(monkeypatch):
         starts, forms = kwargs["starts"], _AngleForms(game, restrictions)
-        rows = np.repeat(np.arange(len(seeds)), starts)
-        plain = _values(forms, rows, _ascend(forms, rows, forms.starts(seeds, starts, kwargs["inits"]), 200))
+        rows = np.repeat(np.arange(len(restrictions)), starts)
+        plain = _values(forms, rows, _ascend(forms, rows, forms.starts(None, starts, kwargs["inits"]), 200))
         assert (np.array([r["value"] for r in results]) >= plain.reshape(-1, starts).max(axis=1) - 1e-12).all()
 
 
@@ -705,7 +743,7 @@ def test_one_canonical_start_loses_nothing_against_four_starts(monkeypatch):
     # canonical one and three random ones, seeded by the config seed for
     # the full game and by one draw after each sample's graph
     law = ExperimentConfig().removal_law
-    for (game, restrictions, _), kwargs, results in _bench_calls(monkeypatch):
+    for (game, restrictions), kwargs, results in _bench_calls(monkeypatch):
         assert kwargs["starts"] == 1
         seeds = [42]
         for index in range(60):

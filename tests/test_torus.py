@@ -202,9 +202,11 @@ def test_is_blocker_unknown_mode():
 
 
 def _untouched_loops(n, d, removed):
-    """Axis loops of the n^d torus that hold no removed edge."""
-    loops = torus._edge_loops(n, d)
-    return d * n ** (d - 1) - len({loops[edge_id(e, n)] for e in removed})
+    """Axis loops of the n^d torus that hold no removed edge; edge ids sit
+    in the rows of _loop_major_edges, one row per loop."""
+    loop = np.empty(d * n**d, dtype=int)
+    loop[torus._loop_major_edges(n, d)] = np.arange(d * n**d) // n
+    return d * n ** (d - 1) - len({loop[edge_id(e, n)] for e in removed})
 
 
 @pytest.mark.parametrize(
