@@ -125,12 +125,13 @@ def _parse_steps(text: str) -> list:
 
 def _read_json(path: str):
     """The JSON value in a file named on the command line; a file that
-    cannot be read is a usage error."""
+    cannot be read or is not JSON is a usage error."""
     try:
-        text = Path(path).read_text()
+        return json.loads(Path(path).read_text())
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
-    return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} is not JSON: {exc}") from None
 
 
 def _load_graph(args) -> TorusGraph:
@@ -264,7 +265,7 @@ def _cmd_blocker(args) -> dict:
 
 
 def _cmd_foam(args) -> dict:
-    out = foam_probes(n=2, d=args.d, samples=args.samples, seed=args.seed, lesssim_c=args.lesssim_c)
+    out = foam_probes(d=args.d, samples=args.samples, seed=args.seed, lesssim_c=args.lesssim_c)
     out["schema"] = "oddcycle.foam/1"
     return out
 

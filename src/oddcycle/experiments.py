@@ -474,7 +474,7 @@ class ExperimentConfig:
         _check_finite_positive("m", self.m)
         if not self.ratio_low <= self.ratio_high:
             raise ExperimentError(f"ratio_low {self.ratio_low} must not exceed ratio_high {self.ratio_high}")
-        _check_foam_probes(2, self.foam_d, self.foam_samples, self.lesssim_c)
+        _check_foam_probes(self.foam_d, self.foam_samples, self.lesssim_c)
 
     def to_json(self) -> dict:
         data = asdict(self)
@@ -665,7 +665,6 @@ def estimate_events(config: ExperimentConfig) -> ExperimentReport:
         per_n[str(n)] = agg
         all_samples.extend(records)
     foam = foam_probes(
-        n=2,
         d=config.foam_d,
         samples=config.foam_samples,
         seed=config.seed,
@@ -716,9 +715,7 @@ def _check_finite_positive(name: str, value):
         raise ExperimentError(f"{name} must be a finite number above 0, got {value!r}")
 
 
-def _check_foam_probes(n: int, d: int, samples: int, lesssim_c: float):
-    if n != 2:
-        raise ExperimentError("foam probes are stated for n = 2")
+def _check_foam_probes(d: int, samples: int, lesssim_c: float):
     if d not in (2, 3):
         raise ExperimentError(f"foam probes are stated for d in {{2, 3}}, got {d}")
     if samples < 1:
@@ -727,7 +724,6 @@ def _check_foam_probes(n: int, d: int, samples: int, lesssim_c: float):
 
 
 def foam_probes(
-    n: int = 2,
     d: int = 2,
     samples: int = 200,
     seed: int = 0,
@@ -741,7 +737,8 @@ def foam_probes(
     its cardinality for unit edge steps; the channel variant draws a random
     unit matrix per basis pair and takes the trace norm under the identity
     channel."""
-    _check_foam_probes(n, d, samples, lesssim_c)
+    _check_foam_probes(d, samples, lesssim_c)
+    n = 2
     rng = np.random.default_rng(seed)
     blocker = min_blocker(TorusGraph(n, d))
     surface_inf = blocker["size"]

@@ -51,7 +51,9 @@ class SharedState:
 
 
 def bell_phase_state(theta: float = 0.0) -> SharedState:
-    """(|01> + e^{i theta}|10>)/sqrt(2)."""
+    """(|01> + e^{i theta}|10>)/sqrt(2), for a finite theta."""
+    if not math.isfinite(theta):
+        raise QuantumError(f"theta must be finite, got {theta}")
     theta = theta % (2 * math.pi)
     amp = np.array([0, 1 / math.sqrt(2), cmath.exp(1j * theta) / math.sqrt(2), 0])
     return SharedState(amp, phase=theta)
@@ -211,56 +213,21 @@ def canonical_odd_cycle_strategy(n: int, theta: float = 0.0) -> QubitStrategy:
 
 _GRID = np.linspace(0.0, 2 * math.pi, 256, endpoint=False)
 # on the grid with its circular neighbours, Re(z1 e^{ia}) + Re(z2 e^{2ia}) is
-# _RING_BASIS @ (Re z1, Im z1, Re z2, Im z2)
+# (Re z1, Im z1, Re z2, Im z2) @ _RING_BASIS
 _RING = np.r_[_GRID[-1], _GRID, _GRID[0]]
-_RING_BASIS = np.stack([np.cos(_RING), -np.sin(_RING), np.cos(2 * _RING), -np.sin(2 * _RING)], axis=1)
-NEWTON_STEPS = 3
-SINGLE_PEAK_STEPS = 8
+_RING_BASIS = np.stack([np.cos(_RING), -np.sin(_RING), np.cos(2 * _RING), -np.sin(2 * _RING)])
+# Newton steps of one key's profile maximisation
+NEWTON_STEPS = 8
 # coordinate sweeps per round, each round ended by a joint Newton polish,
 # and Newton steps per polish.  After two sweeps the polish already settles
 # every row that decides a result; on the estimator, rounds of 1 or 3
 # sweeps took about as long and rounds of 4 or 20 longer
 POLISH_AFTER = 2
 POLISH_STEPS = 12
+# coordinate sweeps a row runs in all, over its rounds
+MAX_SWEEPS = 200
 # a row whose round gains less than this runs no further round
 ROUND_GAIN_TOL = 1e-12
-
-
-def _newton(z1: complex, z2: complex, a: float) -> float:
-    """Up to NEWTON_STEPS Newton steps on g'(a) = -Im(z1 e^{ia}) -
-    2 Im(z2 e^{2ia}) from a, taken while g''(a) < 0 and until a step falls
-    below 1e-12."""
-    for _ in range(NEWTON_STEPS):
-        e = cmath.exp(1j * a)
-        u1, u2 = z1 * e, z2 * e * e
-        curvature = -u1.real - 4.0 * u2.real
-        if not curvature < 0.0:
-            break
-        step = (u1.imag + 2.0 * u2.imag) / curvature
-        a += step
-        if abs(step) < 1e-12:
-            break
-    return a
-
-
-def _maximize_profile(z1: complex, z2: complex) -> float:
-    """Angle a maximizing g(a) = Re(z1 e^{ia}) + Re(z2 e^{2ia}).  g has at
-    most two local maxima: the best two circular peaks of the 256-point
-    grid (the second only if it can still win) are polished by Newton
-    steps."""
-    ring = _RING_BASIS @ np.array((z1.real, z1.imag, z2.real, z2.imag))
-    values = ring[1:-1]
-    peaks = ((values > ring[:-2]) & (values >= ring[2:])).nonzero()[0]
-    # |g''| <= |z1| + 4|z2|; a peak is no lower than the grid point (spacing _GRID[1]) nearest its max
-    grid_error = (abs(z1) + 4.0 * abs(z2)) * _GRID[1] ** 2 / 8
-    best = (-math.inf, 0.0)
-    for value, i in sorted(zip(values[peaks].tolist(), peaks.tolist()), reverse=True)[:2]:
-        if value + grid_error < best[0]:
-            break
-        a = _newton(z1, z2, float(_GRID[i]))
-        polished = (z1 * cmath.exp(1j * a) + z2 * cmath.exp(2j * a)).real
-        best = max(best, (value, float(_GRID[i])), (polished, a))
-    return best[1]
 
 
 def _gauge_fixed(kept: np.ndarray, ends: tuple, n_keys: int) -> np.ndarray:
@@ -297,10 +264,12 @@ class _AngleForms:
     k of that side.  Over all keys, Alice's then Bob's, fixed[k, i] marks
     the keys restriction i's Newton polish holds still: those it lacks, and
     the first key of each connected component of its kept edges, where the
-    gauge alpha + c, beta - c leaves the objective unchanged.  blocks lists
-    the coordinate ascent's update blocks (_block), runs of one side's keys
-    that it maximises in one step.  Arrays keep the restriction index
-    last."""
+    gauge alpha + c, beta - c leaves the objective unchanged.  inc[side]
+    lists each key's incident edges (keys x degree; every key of a side has
+    one degree).  blocks lists the coordinate ascent's update blocks
+    (_block), keys of one side that it maximises in one step, none of
+    whose updates changes another's profile.  Arrays keep the restriction
+    index last."""
 
     def __init__(self, game: GameSpec, restrictions: list):
         if game.depth > 2:
@@ -344,21 +313,19 @@ class _AngleForms:
             np.add.at(Q, (legs, legs[:, ::-1]), term[:, None])
         self.A[:-1, -1] = self.A[-1, :-1] = b[:-1] / 2
         self.A[-1, -1] = b[-1]
-        # update blocks, Alice's then Bob's in key order: runs of keys of one
-        # side and one degree whose incident edges share no Q entry, so that
-        # updating one key leaves the others' profiles as they are (at depth
-        # 1, Q = 0 and each side is one block)
-        linked = (Q != 0).any(axis=-1)
+        self.inc = []
+        for end in self.ends:
+            degree = np.bincount(end)
+            if (degree != degree[0]).any():
+                raise QuantumError("angle optimization needs the keys of one side to share one degree")
+            self.inc.append(np.argsort(end, kind="stable").reshape(len(degree), -1))
+        # update blocks, Alice's then Bob's in key order: at depth 1, Q = 0
+        # and each side is one block; at depth 2 each key is its own
         self.blocks = []
-        for side in (0, 1):
-            incs = [np.flatnonzero(self.ends[side] == k) for k in range(len(self.keys[side]))]
-            first = 0
-            for k in range(1, len(incs) + 1):
-                if k < len(incs) and len(incs[k]) == len(incs[first]):
-                    if not linked[np.ix_(incs[k], np.concatenate(incs[first:k]))].any():
-                        continue
-                self.blocks.append(self._block(side, slice(first, k), np.array(incs[first:k]), Q, b))
-                first = k
+        for side, inc in enumerate(self.inc):
+            width = len(inc) if depth == 1 else 1
+            for k in range(0, len(inc), width):
+                self.blocks.append(self._block(side, slice(k, k + width), inc[k : k + width], Q, b))
 
     def _block(self, side: int, keys: slice, inc: np.ndarray, Q: np.ndarray, b: np.ndarray) -> tuple:
         """A block's side, its keys, their incident edges and partner keys
@@ -412,19 +379,15 @@ def _cis(a: np.ndarray) -> np.ndarray:
     return e
 
 
-def _maximize_profiles(z1: np.ndarray, z2: np.ndarray, wanted: np.ndarray) -> np.ndarray:
-    """The angle maximizing g(a) = Re(z1[i] e^{ia}) + Re(z2[i] e^{2ia}) for
-    every i with wanted[i]; the other entries are left arbitrary.  When
-    |z1| > 4|z2|, arg(z1 e^{ia} + 2 z2 e^{2ia}) strictly increases, so g
-    has one maximum; for 8|z2| <= |z1| up to SINGLE_PEAK_STEPS Newton steps
-    from -arg(z1) find it, run on the arrays, each row until its own step
-    falls below 1e-12.  A wanted row that is not settled there goes to
-    the grid stage, _maximize_profile."""
-    a = -np.angle(z1)
-    settled = np.zeros(len(a), dtype=bool)
-    todo = (8.0 * np.abs(z2) <= np.abs(z1)).nonzero()[0]
-    x, u, v = a[todo], z1[todo], z2[todo]
-    for _ in range(SINGLE_PEAK_STEPS):
+def _newton(z1: np.ndarray, z2: np.ndarray, a: np.ndarray) -> tuple:
+    """Up to NEWTON_STEPS Newton steps on g'(a) = -Im(z1 e^{ia}) -
+    2 Im(z2 e^{2ia}) from the angles a, on the arrays, each row until its
+    own step falls below 1e-12 or is taken where g''(a) < 0 fails.
+    Returns every row's last angle and whether it settled: its last step
+    fell below 1e-12 where g''(a) < 0."""
+    a, settled, todo = a.copy(), np.zeros(len(a), dtype=bool), np.arange(len(a))
+    x, u, v = a.copy(), z1, z2
+    for _ in range(NEWTON_STEPS):
         e = _cis(x)
         u1, u2 = u * e, v * e * e
         curvature = -u1.real - 4.0 * u2.real
@@ -438,8 +401,41 @@ def _maximize_profiles(z1: np.ndarray, z2: np.ndarray, wanted: np.ndarray) -> np
         if not len(more):
             break
         todo, x, u, v = todo[more], x[more], u[more], v[more]
-    for i in (wanted & ~settled).nonzero()[0].tolist():
-        a[i] = _maximize_profile(complex(z1[i]), complex(z2[i]))
+    return a, settled
+
+
+def _best_of_two_peaks(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """Per row, the angle maximizing g(a) = Re(z1 e^{ia}) + Re(z2 e^{2ia}),
+    which has at most two local maxima: of the best two circular peaks of
+    g on the 256-point grid and the angles _newton reaches from them, the
+    one where g is highest."""
+    ring = np.stack([z1.real, z1.imag, z2.real, z2.imag], axis=1) @ _RING_BASIS
+    values = ring[:, 1:-1]
+    peaks = np.where((values > ring[:, :-2]) & (values >= ring[:, 2:]), values, -np.inf)
+    rows = np.arange(len(z1))
+    first = peaks.argmax(axis=1)
+    peaks[rows, first] = -np.inf
+    start = _GRID[np.concatenate([first, peaks.argmax(axis=1)])]
+    candidates = np.concatenate([_newton(np.tile(z1, 2), np.tile(z2, 2), start)[0], start]).reshape(4, -1)
+    e = _cis(candidates)
+    g = (z1 * e + z2 * e * e).real
+    g[np.isnan(g)] = -np.inf
+    return candidates[g.argmax(axis=0), rows]
+
+
+def _maximize_profiles(z1: np.ndarray, z2: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """The angle maximizing g(a) = Re(z1[i] e^{ia}) + Re(z2[i] e^{2ia}) for
+    every i with wanted[i]; the other entries are left arbitrary.  When
+    |z1| > 4|z2|, arg(z1 e^{ia} + 2 z2 e^{2ia}) strictly increases, so g
+    has one maximum; for 8|z2| <= |z1| _newton from -arg(z1) finds it.  A
+    wanted row that is not settled there goes to _best_of_two_peaks."""
+    a = np.zeros(len(z1))
+    single = wanted & (8.0 * np.abs(z2) <= np.abs(z1))
+    a[single], settled = _newton(z1[single], z2[single], -np.angle(z1[single]))
+    grid = wanted & ~single
+    grid[single] = ~settled
+    if grid.any():
+        a[grid] = _best_of_two_peaks(z1[grid], z2[grid])
     return a
 
 
@@ -511,14 +507,9 @@ def _derivatives(forms: _AngleForms, A: np.ndarray, u: np.ndarray, r1: np.ndarra
     s = sin(theta) and g = b + 2 Q r, they are -g s and
     2 Q o (s s^T) - diag(g r) in theta, summed over each key's incident
     edges."""
-    split = len(forms.keys[0])
-    blocks = [(side * split + keys.start, side * split + keys.stop, inc) for (side, keys, inc, *_), _ in forms.blocks]
 
     def by_key(v: np.ndarray) -> np.ndarray:
-        out = np.empty((len(forms.fixed),) + v.shape[1:])
-        for first, stop, inc in blocks:
-            v[inc].sum(axis=1, out=out[first:stop])
-        return out
+        return np.concatenate([v[inc].sum(axis=1) for inc in forms.inc])
 
     g, s = 2.0 * np.einsum("efr,fr->er", A[:-1], r1), u.imag
     hessian = A[:-1, :-1] * s
@@ -582,17 +573,16 @@ def optimize_restrictions(
     restrictions: list,
     seeds: Optional[list] = None,
     starts: int = 8,
-    sweeps: int = 200,
     inits: Optional[list] = None,
 ) -> list:
-    """optimize_angles(game, seeds[i], starts, sweeps, restrictions[i],
-    inits) for every i, where a restriction is None (the full game) or a
-    boolean keep-mask over game.pairs.  One _AngleForms holds every
-    restriction's objective and row i*starts + j runs start j of
-    restriction i.  The rows run in rounds of POLISH_AFTER coordinate
-    sweeps of the batched _ascend, each ended by a _polish, up to `sweeps`
-    sweeps in all.  A row runs another round only while it is unsettled,
-    its last round gained at least ROUND_GAIN_TOL, and its value is the
+    """The angle optimization of optimize_angles(game, seeds[i], starts,
+    inits) on the pairs that restrictions[i] keeps, for every i, where a
+    restriction is None (the full game) or a boolean keep-mask over
+    game.pairs.  One _AngleForms holds every restriction's objective and
+    row i*starts + j runs start j of restriction i.  The rows run in
+    rounds of POLISH_AFTER coordinate sweeps of the batched _ascend, each
+    ended by a _polish, up to MAX_SWEEPS sweeps in all.  A row runs
+    another round only while it is unsettled, its last round gained at least ROUND_GAIN_TOL, and its value is the
     best of its restriction's starts: a start below that best would change
     the result only by climbing past it, and over 2,940 estimator samples with four starts each (n = 3..15,
     seeds 0, 7, 42) none did by more than 3.3e-16.  The first best start
@@ -611,7 +601,7 @@ def optimize_restrictions(
     values = np.full(len(rows), -np.inf)
     todo, spent = np.arange(len(rows)), 0
     while True:
-        run = min(POLISH_AFTER, sweeps - spent)
+        run = min(POLISH_AFTER, MAX_SWEEPS - spent)
         part = _ascend(forms, rows[todo], [side[:, todo] for side in angles], run)
         got, part, settled = _polish(forms, rows[todo], part)
         gained = got - values[todo]
@@ -621,7 +611,7 @@ def optimize_restrictions(
         spent += run
         leading = got == values.reshape(-1, starts).max(axis=1)[rows[todo]]
         todo = todo[~settled & (gained >= ROUND_GAIN_TOL) & leading]
-        if not len(todo) or spent >= sweeps:
+        if not len(todo) or spent >= MAX_SWEEPS:
             break
     best = values.reshape(-1, starts).argmax(axis=1) + np.arange(0, len(rows), starts)
     return [
@@ -634,19 +624,16 @@ def optimize_angles(
     game: GameSpec,
     seed: int = 0,
     starts: int = 8,
-    sweeps: int = 200,
-    keep: Optional[np.ndarray] = None,
     inits: Optional[list] = None,
 ) -> dict:
     """Multi-start coordinate ascent over the 2n measurement angles (theta
     fixed to 0, outcome maps unflipped; both are absorbable into the
-    tables), finished by joint Newton steps (see optimize_restrictions),
-    on the pairs of game.pairs where the mask keep holds (all if None).
+    tables), finished by joint Newton steps (see optimize_restrictions).
     A start stops once its Newton polish settles at rounding level, a
     round gains less than ROUND_GAIN_TOL, or another start holds a higher
     value.  The value is a polished local maximum of the best start: still
-    a heuristic lower bound on the restricted-game supremum."""
-    return optimize_restrictions(game, [keep], [seed], starts, sweeps, inits)[0]
+    a heuristic lower bound on the game's supremum."""
+    return optimize_restrictions(game, [None], [seed], starts, inits)[0]
 
 
 def bias_and_approximality(

@@ -468,6 +468,7 @@ BAD_INPUTS = {
     "curve-epsilon-nan": ({}, ["norms", "--curve", "1,0;1,0;1,0", "--n", "3", "--epsilon", "nan"]),
     "curve-epsilon-inf": ({}, ["norms", "--curve", "1,0;1,0;1,0", "--n", "3", "--epsilon", "inf"]),
     "experiment-theta-grid-inf": ({}, ["experiment", "--samples", "2", "--n-values", "3", "--theta-grid", "inf"]),
+    "qvalue-theta-inf": ({}, ["qvalue", "--n", "3", "--theta", "inf"]),
     "foam-lesssim-c-nan": ({}, ["foam", "--lesssim-c", "nan"]),
     "foam-lesssim-c-0": ({}, ["foam", "--lesssim-c", "0"]),
     "pearls-max-points-negative": ({}, ["pearls", "--grow", "--max-points=-1"]),
@@ -505,6 +506,14 @@ def test_bad_input_exits_2(files, argv, tmp_path, capsys):
     assert main([a.format(tmp=tmp_path) for a in argv] + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--config", "{path}", *NORMS], ["blocker", "--graph", "{path}"]], ids=["config", "graph"])
+def test_a_file_that_is_not_json_is_named(argv, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"n": 3, "d": 2,}')
+    assert main([a.format(path=path) for a in argv] + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path} is not JSON: Expecting property name")
 
 
 def test_report_round_trips_through_json(tmp_path, capsys):

@@ -666,7 +666,7 @@ def test_archived_ratio_distribution():
 
 
 def test_foam_probes_d2():
-    rec = foam_probes(n=2, d=2, samples=50, seed=0)
+    rec = foam_probes(d=2, samples=50, seed=0)
     assert rec["surface_inf"] == 4
     assert rec["bound"] == 8.0
     assert rec["frequencies"]["P1"] == 1.0
@@ -675,7 +675,7 @@ def test_foam_probes_d2():
 
 
 def test_foam_probes_d3_indicators():
-    rec = foam_probes(n=2, d=3, samples=100, seed=1)
+    rec = foam_probes(d=3, samples=100, seed=1)
     freqs = rec["indicators"]
     assert abs(sum(freqs.values()) - 1.0) < 1e-12
     assert all(v > 0 for v in freqs.values())  # all three pairs minimize sometimes
@@ -683,12 +683,10 @@ def test_foam_probes_d3_indicators():
 
 def test_foam_probes_rejects_bad_quantifiers():
     with pytest.raises(ExperimentError):
-        foam_probes(n=3, d=2)
-    with pytest.raises(ExperimentError):
-        foam_probes(n=2, d=4)
+        foam_probes(d=4)
     for lesssim_c in (float("nan"), float("inf"), 0.0, -2.0):
         with pytest.raises(ExperimentError, match="lesssim_c"):
-            foam_probes(n=2, d=2, lesssim_c=lesssim_c)
+            foam_probes(d=2, lesssim_c=lesssim_c)
 
 
 @pytest.mark.parametrize("seed", [42, 3])

@@ -50,6 +50,12 @@ def test_bell_phase_state_amplitudes():
     assert abs(np.sum(np.abs(st.amplitudes) ** 2) - 1) < 1e-12
 
 
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+def test_bell_phase_state_rejects_a_non_finite_theta(theta):
+    with pytest.raises(QuantumError, match="theta must be finite"):
+        bell_phase_state(theta)
+
+
 def test_state_rejects_unnormalized():
     with pytest.raises(QuantumError):
         from oddcycle.quantum import SharedState
@@ -385,6 +391,8 @@ COEFFICIENT = st.builds(complex, st.floats(-1, 1), st.floats(-1, 1))
 @example(z1=0j, z2=0.4 + 0.3j, z1_scale=1.0)
 # |z2|/|z1| = 0.48, where Newton steps from -arg(z1) settle on the lower of two maxima
 @example(z1=1 + 0j, z2=cmath.rect(0.48, 2.111848394913139), z1_scale=1.0)
+# the best grid peak lies on the lower of two maxima, 3.2e-6 below the other
+@example(z1=9.359278340590722e-05 + 0.00014057282180621268j, z2=0.40293151243342 - 0.9152301329655382j, z1_scale=1.0)
 def test_maximize_profile_beats_fine_grid(z1, z2, z1_scale):
     z1 *= z1_scale
 
@@ -394,6 +402,37 @@ def test_maximize_profile_beats_fine_grid(z1, z2, z1_scale):
     with np.errstate(divide="ignore", invalid="ignore"):
         best = _maximize_profiles(np.array([z1]), np.array([z2]), np.array([True]))[0]
     assert profile(np.array([best]))[0] >= profile(FINE_GRID).max() - 1e-12
+
+
+def test_maximize_profiles_rows_do_not_see_each_other():
+    # single-peak rows, rows for the grid stage (the examples above, z1 = 0
+    # and z1 = z2 = 0) and unwanted rows in one call
+    rng = np.random.default_rng(5)
+    single = [0.3 - 0.7j, 1.0, cmath.rect(0.8, 0.3)], [0j, 0.1j, cmath.rect(0.1 - 1e-10, 0.6)]
+    multi = (
+        [0.001 + 0.001j, 1.0, 9.359278340590722e-05 + 0.00014057282180621268j, 0j, 0j] + [cmath.rect(0.8, 0.3)] * 3,
+        [0.013 - 0.66j, cmath.rect(0.48, 2.111848394913139), 0.40293151243342 - 0.9152301329655382j, 0.4 + 0.3j, 0j]
+        + [cmath.rect(0.1 + 1e-10, 0.6 + phase) for phase in (0.0, math.pi / 2, math.pi)],
+    )
+    scale = rng.uniform(0, 1, (2, 40)) * np.exp(2j * math.pi * rng.uniform(0, 1, (2, 40)))
+    z1 = np.concatenate([single[0], multi[0], scale[0], scale[0, :6]])
+    z2 = np.concatenate([single[1], multi[1], scale[1] * rng.choice([0.05, 1.0], 40), [0.5] * 3 + [np.nan] * 3])
+    wanted = np.arange(len(z1)) < len(z1) - 6
+    with np.errstate(divide="ignore", invalid="ignore"):
+        both = _maximize_profiles(z1, z2, wanted)
+        alone = [_maximize_profiles(z1[i : i + 1], z2[i : i + 1], np.array([True]))[0] for i in np.flatnonzero(wanted)]
+    assert both[wanted].tolist() == alone
+    for u, v, a in zip(z1[wanted], z2[wanted], alone):
+        assert (u * cmath.exp(1j * a) + v * cmath.exp(2j * a)).real >= (u * np.exp(1j * FINE_GRID) + v * np.exp(2j * FINE_GRID)).real.max() - 1e-12
+
+
+def test_random_starts_on_restricted_games_reach_the_grid_stage(monkeypatch):
+    # profiles with two maxima do occur, so the end-to-end tests cover the grid stage
+    game, cases = _restrictions(3)
+    rows, real = [], quantum._best_of_two_peaks
+    monkeypatch.setattr(quantum, "_best_of_two_peaks", lambda z1, z2: rows.append(len(z1)) or real(z1, z2))
+    optimize_restrictions(game, cases, list(range(len(cases))), starts=4)
+    assert sum(rows) >= 1
 
 
 def _restrictions(n, depth=2):
@@ -562,13 +601,14 @@ def test_bench_config_runs_one_round_per_n(monkeypatch):
     assert all(settled.all() for _, settled in calls[1::2])
 
 
-def test_later_rounds_raise_a_lone_random_start():
+def test_later_rounds_raise_a_lone_random_start(monkeypatch):
     # one random start per restriction and no inits: rows still climbing
     # after their first round run again, and the later rounds raise them
     game, cases = _restrictions(5)
     seeds = list(range(len(cases)))
-    one_round = optimize_restrictions(game, cases, seeds, starts=1, sweeps=quantum.POLISH_AFTER)
     rounds = optimize_restrictions(game, cases, seeds, starts=1)
+    monkeypatch.setattr(quantum, "MAX_SWEEPS", quantum.POLISH_AFTER)
+    one_round = optimize_restrictions(game, cases, seeds, starts=1)
     gains = [later["value"] - first["value"] for later, first in zip(rounds, one_round)]
     assert min(gains) >= -1e-12 and max(gains) > 0.01
 
@@ -718,11 +758,11 @@ def _bench_calls(monkeypatch) -> list:
 
 
 def test_polish_never_ends_below_the_plain_ascent(monkeypatch):
-    # the plain ascent runs optimize_restrictions' default 200 sweeps
+    # the plain ascent runs optimize_restrictions' MAX_SWEEPS sweeps
     for (game, restrictions), kwargs, results in _bench_calls(monkeypatch):
         starts, forms = kwargs["starts"], _AngleForms(game, restrictions)
         rows = np.repeat(np.arange(len(restrictions)), starts)
-        plain = _values(forms, rows, _ascend(forms, rows, forms.starts(None, starts, kwargs["inits"]), 200))
+        plain = _values(forms, rows, _ascend(forms, rows, forms.starts(None, starts, kwargs["inits"]), quantum.MAX_SWEEPS))
         assert (np.array([r["value"] for r in results]) >= plain.reshape(-1, starts).max(axis=1) - 1e-12).all()
 
 
@@ -784,7 +824,8 @@ def test_no_row_runs_more_than_sweeps_coordinate_sweeps(monkeypatch, sweeps):
 
     monkeypatch.setattr(quantum, "_ascend", lambda f, r, a, s: budgets.append(s) or real(f, r, a, s))
     monkeypatch.setattr(quantum, "_polish", never_settled)
-    optimize_restrictions(game, cases, list(range(len(cases))), starts=4, sweeps=sweeps)
+    monkeypatch.setattr(quantum, "MAX_SWEEPS", sweeps)
+    optimize_restrictions(game, cases, list(range(len(cases))), starts=4)
     # each call of the ascent caps the sweeps of every row it is given
     assert budgets[0] == min(sweeps, quantum.POLISH_AFTER) and max(budgets) <= quantum.POLISH_AFTER
     assert sum(budgets) == sweeps
