@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 computation refusal (budget or sampling abort),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -108,7 +109,6 @@ def _write_manifest(out_dir: Path, command: str, params: dict, seed, timings: di
         "manifest_id": manifest_id,
     }
     (out_dir / f"{command}-manifest.json").write_text(dumps(manifest, indent=2) + "\n")
-    return manifest_id
 
 
 def _parse_vector(text: str) -> list:
@@ -158,7 +158,7 @@ def _cmd_value(args) -> dict:
         if args.delta is not None:
             raise GameError("--delta applies only to --game chsh")
         game = make_odd_cycle_game(args.n, args.d)
-    elif args.game == "chsh":
+    else:
         delta = None
         if args.delta:
             bits = [int(b) for b in args.delta.split(",")]
@@ -166,18 +166,12 @@ def _cmd_value(args) -> dict:
                 raise GameError("delta expects 4 bits for (0,0),(0,1),(1,0),(1,1)")
             delta = {(0, 0): bits[0], (0, 1): bits[1], (1, 0): bits[2], (1, 1): bits[3]}
         game = make_chsh_game(args.d, delta)
-    else:
-        raise GameError(f"unknown game {args.game!r}")
     if args.method == "exhaustive":
         report = classical_value_exact(game, mode="full")
     elif args.method == "best-response":
         report = classical_value_exact(game)
-    elif args.method == "search":
-        report = classical_value_search(
-            game, seed=args.seed, iterations=args.iterations, target=args.target
-        )
     else:
-        raise GameError(f"unknown method {args.method!r}")
+        report = classical_value_search(game, seed=args.seed, iterations=args.iterations, target=args.target)
     return {
         "schema": "oddcycle.value/1",
         "game": game.to_json(),
@@ -215,6 +209,8 @@ def _cmd_pearls(args) -> dict:
 
     if args.graph is not None and not args.grow:
         raise RegionError("--graph applies only to --grow")
+    if args.max_points < 0:
+        raise RegionError(f"--max-points must be at least 0, got {args.max_points}")
     n, d = args.n, args.d
     game = make_odd_cycle_game(n, d)
     if args.strategy == "xmod2":
@@ -306,6 +302,7 @@ def _cmd_experiment(args) -> tuple:
     return report.to_json(), report.sweep_rows()
 
 
+@functools.lru_cache(maxsize=1)  # built on the first call, shared after
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="oddcycle", description=__doc__)
     parser.add_argument("--config", help="JSON config file (flags win over it)")

@@ -482,22 +482,23 @@ def _ascend(forms: _AngleForms, rows: np.ndarray, angles: list, sweeps: int) -> 
 
 
 def _solve_negative_definite(H: np.ndarray, g: np.ndarray) -> tuple:
-    """Per row (last axis): whether H is negative definite, and where it is
-    the solution x of -H x = g, from the Cholesky factor L of -H built one
-    column at a time.  L overwrites the lower triangle of H."""
-    L = np.negative(H, out=H)
-    ok = np.ones(H.shape[-1], dtype=bool)
-    for j in range(len(H)):
-        d = L[j, j] - (L[j, :j] ** 2).sum(axis=0)
-        ok &= d > 0.0
-        L[j, j] = d = np.sqrt(np.where(ok, d, 1.0))
-        L[j + 1 :, j] = (L[j + 1 :, j] - np.einsum("ikr,kr->ir", L[j + 1 :, :j], L[j, :j])) / d
-    x = g.copy()
-    for j in range(len(H)):
-        x[j] = (x[j] - np.einsum("kr,kr->r", L[j, :j], x[:j])) / L[j, j]
-    for j in reversed(range(len(H))):
-        x[j] = (x[j] - np.einsum("kr,kr->r", L[j + 1 :, j], x[j + 1 :])) / L[j, j]
-    return ok, x
+    """Per row (last axis): whether H is negative definite, from one stacked
+    LAPACK Cholesky of -H, and the solution x of -H x = g, from one stacked
+    solve.  Only when that Cholesky raises is each row factored alone.  A
+    row holding a NaN or infinity fails, since the Cholesky may pass NaN
+    through.  Failing rows solve the identity, and callers ignore their x."""
+    M = -np.moveaxis(H, -1, 0)
+    ok = np.isfinite(M).all(axis=(1, 2))
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        for r, m in enumerate(M):
+            try:
+                np.linalg.cholesky(m)
+            except np.linalg.LinAlgError:
+                ok[r] = False
+    M[~ok] = np.eye(M.shape[-1])
+    return ok, np.linalg.solve(M, g.T[..., None])[..., 0].T
 
 
 def _derivatives(forms: _AngleForms, A: np.ndarray, u: np.ndarray, r1: np.ndarray) -> tuple:
@@ -523,9 +524,11 @@ def _derivatives(forms: _AngleForms, A: np.ndarray, u: np.ndarray, r1: np.ndarra
 def _polish(forms: _AngleForms, rows: np.ndarray, angles: list) -> tuple:
     """Joint Newton steps on all angles of every row (row index last), from
     _derivatives.  The keys forms.fixed holds still are dropped, which
-    removes the Hessian's null directions exactly.  A row takes its step
-    where the reduced Hessian is negative definite and the objective does
-    not drop.  Where the Hessian is negative definite, a row settles once
+    removes the Hessian's null directions exactly.  Each step tests and
+    solves every live row's reduced Hessian with one stacked LAPACK
+    Cholesky and solve (_solve_negative_definite).  A row takes its step
+    where that Hessian is negative definite and the objective does not
+    drop.  Where the Hessian is negative definite, a row settles once
     its step is below 1e-12 or the step's predicted gain, half the
     gradient times the step, is at most 4 eps |value|, taken or refused:
     then it is at a maximum up to rounding.  A row leaves the working

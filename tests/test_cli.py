@@ -94,6 +94,26 @@ def test_unknown_flag_exits_2(tmp_path):
     assert proc.returncode == 2
 
 
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    runs = {
+        "value": ["value", "--game", "odd-cycle", "--n", "3"],
+        "qvalue": ["qvalue", "--n", "3"],
+    }
+
+    def report(command: str, out: Path) -> bytes:
+        assert main([*runs[command], "--out", str(out)]) == 0
+        capsys.readouterr()
+        return (out / f"{command}-report.json").read_bytes()
+
+    lone = {}
+    for command in runs:
+        cli.build_parser.cache_clear()
+        lone[command] = report(command, tmp_path / f"lone-{command}")
+    for i, command in enumerate(("value", "qvalue", "value")):
+        assert report(command, tmp_path / f"run-{i}") == lone[command]
+
+
 def test_budget_refusal_exits_1(tmp_path, capsys):
     # the refusal names the count that tripped the budget and the budget
     for n, d, tables in ((5, 2, 4**25), (3, 3, 8**27)):
@@ -472,6 +492,7 @@ BAD_INPUTS = {
     "foam-lesssim-c-nan": ({}, ["foam", "--lesssim-c", "nan"]),
     "foam-lesssim-c-0": ({}, ["foam", "--lesssim-c", "0"]),
     "pearls-max-points-negative": ({}, ["pearls", "--grow", "--max-points=-1"]),
+    "pearls-max-points-negative-without-grow": ({}, ["pearls", "--max-points=-1"]),
     # a torus graph holds integers only, rather than a phantom edge or a truncated n
     "graph-coordinate-half": (
         {"graph.json": '{"n": 3, "d": 2, "removed": [[[0.5, 0], 0]]}'},

@@ -681,6 +681,19 @@ def test_foam_probes_d3_indicators():
     assert all(v > 0 for v in freqs.values())  # all three pairs minimize sometimes
 
 
+@pytest.mark.parametrize(
+    "d, seed, sha",
+    [
+        (2, 0, "e55702ce612dca2faba0d5a735d9f01880eb98c6e8c3618485e71ff9b4ba1123"),
+        (3, 1, "ac89bf74d6472e51be4fbe0b5192a0bf498cfd224de43de0a7f7fa0fb75e8127"),
+    ],
+)
+def test_foam_probes_record_is_pinned(d, seed, sha):
+    # pinned from the per-sample random_unit_matrix / channel_diamond loop:
+    # the batched draw is the same stream, so the record is byte-identical
+    assert hashlib.sha256(dumps(foam_probes(d=d, samples=200, seed=seed)).encode()).hexdigest() == sha
+
+
 def test_foam_probes_rejects_bad_quantifiers():
     with pytest.raises(ExperimentError):
         foam_probes(d=4)

@@ -729,6 +729,33 @@ def test_cholesky_solve_matches_numpy():
     assert np.abs(x.T[ok] - np.linalg.solve(-H[ok], g[ok, :, None])[..., 0]).max() < 1e-9
 
 
+def _definite_stack(K: int, R: int, seed: int) -> tuple:
+    rng = np.random.default_rng(seed)
+    M = rng.normal(size=(R, K, K))
+    return -np.einsum("rik,rjk->rij", M, M) - 0.1 * np.eye(K), rng.normal(size=(R, K))
+
+
+def test_cholesky_solve_all_definite_takes_the_stacked_path(monkeypatch):
+    H, g = _definite_stack(30, 61, 4)
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(m.shape) or cholesky(m))
+    ok, x = _solve_negative_definite(np.moveaxis(H, 0, -1).copy(), g.T.copy())
+    assert ok.all() and calls == [(61, 30, 30)]
+    assert np.abs(x.T - np.linalg.solve(-H, g[..., None])[..., 0]).max() < 1e-9
+
+
+@pytest.mark.parametrize("where", ["diagonal", "off-diagonal", "upper"])
+def test_cholesky_solve_nan_row_is_not_definite(where):
+    H, g = _definite_stack(6, 9, 5)
+    i, j = {"diagonal": (2, 2), "off-diagonal": (4, 1), "upper": (1, 4)}[where]
+    H[3, i, j] = np.nan
+    ok, x = _solve_negative_definite(np.moveaxis(H, 0, -1).copy(), g.T.copy())
+    assert ok.tolist() == [r != 3 for r in range(9)]
+    assert np.isfinite(x).all()
+    assert np.abs(x.T[ok] - np.linalg.solve(-H[ok], g[ok, :, None])[..., 0]).max() < 1e-9
+
+
 @pytest.mark.parametrize("n", range(3, 28, 2))
 def test_polished_depth_one_value_is_cos_squared(n):
     # Cleve, Hoyer, Toner and Watrous 2004
